@@ -5,6 +5,12 @@ All scans share one vectorized kernel that evaluates the beam power of every
 grid trajectory against a set of residual matrices; wideband inputs are
 handled non-coherently by summing that power over frequencies, so a single
 narrowband block is just the F=1 special case of the same code path.
+
+The kernel walks the grid in blocks of about a thousand rows, so the two
+(rows, L) complex arrays its sensor recursion touches stay in a core's L2
+cache instead of streaming an (M, L) table from memory once per sensor. The
+blocking changes no element's arithmetic: spectra are bit-identical to a
+whole-table pass.
 """
 
 from __future__ import annotations
@@ -57,14 +63,28 @@ class PeakSet:
         return [p for p, _ in self.entries]
 
 
-def _check_blocks(blocks) -> tuple[int, int]:
+def _check_blocks(blocks, array: ArrayConfig) -> tuple[int, int]:
     if not blocks:
         raise ValueError("need at least one observation block")
     N, L = blocks[0].data.shape
     for b in blocks:
         if b.data.shape != (N, L):
             raise ValueError("all blocks must share sensor count and snapshot count")
+    if N != array.n_sensors:
+        raise ValueError(
+            f"blocks have {N} sensor rows but the array has {array.n_sensors} sensors"
+        )
     return N, L
+
+
+# Bytes of one (rows, L) complex block of the scan: two of them (phasors and
+# accumulator) stay resident in a 2 MB per-core L2 cache.
+_SCAN_BLOCK_BYTES = 1 << 19
+
+
+def _scan_rows(L: int) -> int:
+    """Grid rows per scan block at block length L (1092 at L = 30)."""
+    return max(1, _SCAN_BLOCK_BYTES // (16 * L))
 
 
 def grid_beam_power(residuals, grid: ParamGrid, array: ArrayConfig, wavelengths) -> np.ndarray:
@@ -72,19 +92,37 @@ def grid_beam_power(residuals, grid: ParamGrid, array: ArrayConfig, wavelengths)
 
     Horner recursion over the sensor index against the cached per-grid phasor
     table, so a scan costs N complex multiplies of an (M, L) array per
-    frequency.
+    frequency. The recursion runs over blocks of `_scan_rows` grid rows: the
+    conjugated phasors and the accumulator of one block stay in cache through
+    the whole recursion, where a whole-table pass would stream the (M, L)
+    arrays from memory once per sensor. Every element sees the same arithmetic
+    in the same order as in a whole-table pass, so the values do not depend on
+    the block size.
     """
     L = residuals[0].shape[1]
     M = grid.size
+    rows = min(M, _scan_rows(L))
+    conj_block = np.empty((rows, L), dtype=complex)
+    acc_block = np.empty((rows, L), dtype=complex)
     values = np.zeros(M)
     for R, lam in zip(residuals, wavelengths):
-        E = np.conj(phase_table(grid, L, _phase_scale(array, lam)))  # (M, L)
+        table = phase_table(grid, L, _phase_scale(array, lam))  # (M, L)
         N = R.shape[0]
-        acc = np.broadcast_to(R[N - 1], (M, L)).copy()
-        for n in range(N - 2, -1, -1):
-            np.multiply(acc, E, out=acc)
-            acc += R[n]
-        values += (acc.real**2 + acc.imag**2).sum(axis=1)
+        for s in range(0, M, rows):
+            e = min(s + rows, M)
+            E = np.conjugate(table[s:e], out=conj_block[: e - s])
+            acc = acc_block[: e - s]
+            acc[...] = R[N - 1]
+            for n in range(N - 2, -1, -1):
+                np.multiply(acc, E, out=acc)
+                acc += R[n]
+            # |acc|^2 in place: fresh temporaries per block made the allocator
+            # hand pages back and fault them in again on every scan
+            re, im = acc.real, acc.imag
+            np.square(re, out=re)
+            np.square(im, out=im)
+            re += im
+            values[s:e] += re.sum(axis=1)
     return values / L
 
 
@@ -94,7 +132,7 @@ def tl_cbf_spectrum(blocks, grid: ParamGrid, array: ArrayConfig) -> Spectrum:
     Single-frequency input gives the narrowband spectrum; wideband block sets
     sum the spectrum across frequencies.
     """
-    _check_blocks(blocks)
+    _check_blocks(blocks, array)
     wavelengths = block_wavelengths(array, blocks)
     values = grid_beam_power([b.data for b in blocks], grid, array, wavelengths)
     return Spectrum(grid, values)
@@ -135,7 +173,7 @@ def tl_omp(blocks, grid: ParamGrid, array: ArrayConfig, K: int):
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    _, L = _check_blocks(blocks)
+    _, L = _check_blocks(blocks, array)
     wavelengths = block_wavelengths(array, blocks)
     residuals = [b.data.copy() for b in blocks]
     selected: list[TrajectoryParams] = []
@@ -193,7 +231,7 @@ def tl_sbl(
         raise ValueError("noise variance must be positive (assumed known)")
     if len(blocks) != 1:
         raise ValueError("TL-SBL is narrowband: pass exactly one block")
-    N, L = _check_blocks(blocks)
+    N, L = _check_blocks(blocks, array)
     lam = block_wavelengths(array, blocks)[0]
     M = grid.size
 

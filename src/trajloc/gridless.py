@@ -114,7 +114,7 @@ def tl_sfw(
     """
     if K < 0:
         raise ValueError("K must be >= 0")
-    _check_blocks(blocks)
+    _check_blocks(blocks, array)
     wavelengths = block_wavelengths(array, blocks)
     bounds = Bounds.from_grid(grid) if bounds is None else bounds
     Y = [b.data for b in blocks]
@@ -195,7 +195,7 @@ def tl_nomp(
     """
     if K < 0:
         raise ValueError("K must be >= 0")
-    _check_blocks(blocks)
+    _check_blocks(blocks, array)
     wavelengths = block_wavelengths(array, blocks)
     bounds = Bounds.from_grid(grid) if bounds is None else bounds
     Y = [b.data for b in blocks]

@@ -219,6 +219,13 @@ class ObservationBlock:
             raise ValueError(
                 f"data has {data.shape[1]} columns but snapshots={self.snapshots}"
             )
+        bad = np.argwhere(~np.isfinite(data))
+        if bad.size:
+            n, l = bad[0]
+            raise ValueError(
+                f"observation data has non-finite entry {data[n, l]} at "
+                f"sensor {n}, snapshot {l}"
+            )
 
     @property
     def n_sensors(self) -> int:

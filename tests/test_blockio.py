@@ -66,3 +66,16 @@ def test_bandlimited_truth_round_trip(tmp_path):
 def test_missing_directory_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_block_set(str(tmp_path))
+
+
+def test_load_block_rejects_nan(tmp_path):
+    blocks, _ = synthesize_block([], ArrayConfig(3), 4, 0.0, seed=5)
+    path = tmp_path / "block.csv"
+    save_block(blocks[0], str(path), seed=5)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")  # sensor 1
+    cells[5] = "nan"  # imaginary part of snapshot 2
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="sensor 1, snapshot 2"):
+        load_block(str(path))

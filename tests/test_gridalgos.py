@@ -8,16 +8,22 @@ from trajloc import (
     Spectrum,
     TrajectoryModel,
     TrajectoryParams,
+    build_grid,
     find_peaks,
     grid_point,
     min_grid_rmse,
     synthesize_block,
     tl_cbf_spectrum,
+    tl_nomp,
     tl_omp,
     tl_sbl,
+    tl_sfw,
     trajectory_rmse,
 )
+from trajloc.gridalgos import _scan_rows, grid_beam_power
+from trajloc.grids import phase_table
 from trajloc.model import trajectory_steering_matrix, wavelength_for
+from trajloc.optim import _phase_scale
 
 LINEAR = TrajectoryModel.polynomial(1)
 
@@ -28,6 +34,68 @@ def grid_index_of(grid, phi, alpha):
         if p.phi == phi and p.coeffs == (alpha,):
             return idx
     raise AssertionError("not a grid point")
+
+
+def reference_beam_power(residuals, grid, array, wavelengths):
+    """The whole-table Horner scan that grid_beam_power runs by row blocks."""
+    L = residuals[0].shape[1]
+    M = grid.size
+    values = np.zeros(M)
+    for R, lam in zip(residuals, wavelengths):
+        E = np.conj(phase_table(grid, L, _phase_scale(array, lam)))
+        N = R.shape[0]
+        acc = np.broadcast_to(R[N - 1], (M, L)).copy()
+        for n in range(N - 2, -1, -1):
+            np.multiply(acc, E, out=acc)
+            acc += R[n]
+        values += (acc.real**2 + acc.imag**2).sum(axis=1)
+    return values / L
+
+
+def grid_of_size(M):
+    """Grid of exactly M linear trajectories: M phi values, one slope."""
+    grid = build_grid([("phi", -80.0, 160.0 / (M - 1), 80.0), ("alpha1", 2.0, 1.0, 2.0)], LINEAR)
+    assert grid.size == M
+    return grid
+
+
+ROWS = _scan_rows(30)
+WIDEBAND = (1400.0, 1600.0, 1800.0)
+
+
+class TestGridBeamPower:
+    @pytest.mark.parametrize(
+        "M, N, freqs",
+        [
+            (ROWS // 3, 10, None),  # less than one block
+            (2 * ROWS, 10, None),  # exact multiple of the block
+            (2 * ROWS + 1, 10, None),  # one row into a partial block
+            (1806, 10, WIDEBAND),  # distinct wavelengths
+            (2 * ROWS + 1, 2, None),  # a single Horner step
+        ],
+    )
+    def test_matches_whole_table_scan(self, M, N, freqs):
+        grid = grid_of_size(M)
+        array = ArrayConfig(N) if freqs is None else ArrayConfig.for_frequencies(N, freqs)
+        wavelengths = tuple(wavelength_for(array, f) for f in freqs or (None,))
+        rng = np.random.default_rng(M + N)
+        residuals = [
+            rng.standard_normal((N, 30)) + 1j * rng.standard_normal((N, 30))
+            for _ in wavelengths
+        ]
+        before = [R.copy() for R in residuals]
+        tables = [phase_table(grid, 30, _phase_scale(array, lam)) for lam in wavelengths]
+        table_copies = [t.copy() for t in tables]
+
+        values = grid_beam_power(residuals, grid, array, wavelengths)
+
+        for R, R0 in zip(residuals, before):
+            assert np.array_equal(R, R0)
+        for lam, t, t0 in zip(wavelengths, tables, table_copies):
+            assert phase_table(grid, 30, _phase_scale(array, lam)) is t
+            assert np.array_equal(t, t0)
+            assert not t.flags.writeable
+        assert np.array_equal(values, reference_beam_power(residuals, grid, array, wavelengths))
 
 
 class TestCbfSpectrum:
@@ -194,3 +262,19 @@ class TestTlSbl:
         blocks, _ = synthesize_block(four_sources, array, 30, 5.0, seed=9)
         with pytest.raises(ValueError):
             tl_sbl(blocks, linear_grid, array, 4, 0.0)
+
+
+ESTIMATORS = {
+    "tl-cbf": lambda blocks, grid, array: tl_cbf_spectrum(blocks, grid, array),
+    "tl-sbl": lambda blocks, grid, array: tl_sbl(blocks, grid, array, 1, 1.0),
+    "tl-omp": lambda blocks, grid, array: tl_omp(blocks, grid, array, 1),
+    "tl-sfw": lambda blocks, grid, array: tl_sfw(blocks, grid, array, 1),
+    "tl-nomp": lambda blocks, grid, array: tl_nomp(blocks, grid, array, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_rejects_sensor_count_mismatch(name, linear_grid):
+    blocks, _ = synthesize_block([], ArrayConfig(8), 30, 0.0, seed=0)
+    with pytest.raises(ValueError, match="8 sensor rows but the array has 10 sensors"):
+        ESTIMATORS[name](blocks, linear_grid, ArrayConfig(10))

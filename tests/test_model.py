@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from trajloc import (
     ArrayConfig,
+    ObservationBlock,
     TrajectoryModel,
     TrajectoryParams,
     doa_at_snapshot,
@@ -176,3 +177,10 @@ class TestSynthesis:
             ArrayConfig(1)
         with pytest.raises(ValueError):
             ArrayConfig(4, spacing=0.0)
+
+    def test_non_finite_block_rejected(self):
+        data = np.zeros((4, 6), complex)
+        data[2, 5] = complex(0.0, np.inf)
+        data[3, 1] = np.nan
+        with pytest.raises(ValueError, match="sensor 2, snapshot 5"):
+            ObservationBlock(data, None, 6)
