@@ -9,11 +9,10 @@ quick eyeball check that gridless refinement beats the on-grid quantization.
 import argparse
 import time
 
-import numpy as np
-
 import trajloc as tl
+from trajloc import harness
 
-SOURCES = [(-11.0, 3.5), (20.0, 1.5), (61.0, -2.25), (-52.0, -4.75)]
+SOURCES = ((-11.0, 3.5), (20.0, 1.5), (61.0, -2.25), (-52.0, -4.75))
 
 
 def main():
@@ -22,20 +21,31 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    model = tl.TrajectoryModel.polynomial(1)
-    array = tl.ArrayConfig(10)
-    grid = tl.build_grid([("phi", -85, 2, 85), ("alpha1", -5, 0.5, 5)], model)
-    truth = [tl.TrajectoryParams(model, p, (a,)) for p, a in SOURCES]
-    blocks, gt = tl.synthesize_block(truth, array, 30, args.snr, seed=args.seed)
-    K = len(truth)
+    config = tl.ScenarioConfig(
+        name="demo",
+        model=tl.TrajectoryModel.polynomial(1),
+        grid_phi=(-85.0, 2.0, 85.0),
+        grid_coeffs=((-5.0, 0.5, 5.0),),
+        sources=SOURCES,
+        snr_db=args.snr,
+    )
+    cell = harness.materialize(config, "snr_db", args.snr)
+    truth = list(cell.sources)
+    blocks, _ = tl.synthesize_block(
+        truth, cell.array, cell.snapshots, cell.snr_db, cell.frequencies, args.seed
+    )
 
     print(f"SNR {args.snr} dB, seed {args.seed}, grid floor per source:")
     for src in truth:
-        floor, _ = tl.min_grid_rmse(src, grid, 30)
+        floor, _ = tl.min_grid_rmse(src, cell.grid, cell.snapshots)
         print(f"  ({src.phi:g}, {src.coeffs[0]:g}) -> {floor:.4f} deg")
 
-    def evaluate(name, params_list, elapsed):
-        asn = tl.ospa_assign(truth, params_list, L=30)
+    print("\nestimates:")
+    for name, estimate in harness.ESTIMATORS.items():
+        t0 = time.perf_counter()
+        params, _ = estimate(blocks, cell, config)
+        elapsed = time.perf_counter() - t0
+        asn = tl.ospa_assign(truth, params, L=cell.snapshots)
         pd, rmse = tl.detection_stats(asn)
         rmse_txt = f"{rmse:.4f}" if rmse is not None else "n/a"
         print(
@@ -43,31 +53,9 @@ def main():
             f"ospa {asn.ospa:8.3f}   {elapsed * 1e3:7.1f} ms"
         )
 
-    print("\nestimates:")
-    t0 = time.perf_counter()
-    spec = tl.tl_cbf_spectrum(blocks, grid, array)
-    peaks = tl.find_peaks(spec, K + 2)
-    evaluate("tl-cbf", peaks.params, time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    _, peaks = tl.tl_sbl(blocks, grid, array, K, gt.noise_variance)
-    evaluate("tl-sbl", peaks.params, time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    ests, _ = tl.tl_omp(blocks, grid, array, K)
-    evaluate("tl-omp", [e.params for e in ests], time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    ests, _ = tl.tl_sfw(blocks, grid, array, K)
-    evaluate("tl-sfw", [e.params for e in ests], time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    ests, _ = tl.tl_nomp(blocks, grid, array, K)
-    evaluate("tl-nomp", [e.params for e in ests], time.perf_counter() - t0)
-
-    print("\ngridless parameter estimates (phi, alpha):")
-    for e in sorted(ests, key=lambda e: e.params.phi):
-        print(f"  ({e.params.phi:+8.4f}, {e.params.coeffs[0]:+7.4f})")
+    print(f"\n{name} parameter estimates (phi, alpha):")
+    for p in sorted(params, key=lambda p: p.phi):
+        print(f"  ({p.phi:+8.4f}, {p.coeffs[0]:+7.4f})")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ metrics and Monte Carlo harness used to benchmark them.
 
 from .gridalgos import PeakSet, Spectrum, find_peaks, tl_cbf_spectrum, tl_omp, tl_sbl
 from .gridless import RunTrace, tl_nomp, tl_sfw
-from .grids import ParamGrid, atom, build_grid, grid_point
+from .grids import ParamGrid, build_grid, grid_point
 from .harness import (
     ScenarioConfig,
     TrialReport,
@@ -63,7 +63,6 @@ __all__ = [
     "TrialReport",
     "TrialRow",
     "amplitudes_ls",
-    "atom",
     "build_grid",
     "builtin_experiments",
     "detection_stats",

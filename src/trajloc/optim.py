@@ -174,6 +174,33 @@ def batched_snapshot_ls(A: np.ndarray, Y: np.ndarray):
     return X, bool(bad.any())
 
 
+def steering_stack(trajectories, array: ArrayConfig, L: int, wavelength: float) -> np.ndarray:
+    """(k, N, L) stack of the trajectories' steering matrices at one wavelength,
+    the operand of every per-snapshot fit below."""
+    return np.stack([trajectory_steering_matrix(t, array, L, wavelength) for t in trajectories])
+
+
+def project_out(A: np.ndarray, Y: np.ndarray):
+    """Orthogonal-projection residual of Y against the steering stack A.
+
+    Fits every snapshot of Y in the span of its k steering vectors
+    (`batched_snapshot_ls`) and subtracts the fit. Returns ((k, L)
+    amplitudes, (N, L) residual, deficient flag).
+    """
+    X, bad = batched_snapshot_ls(A, Y)
+    X = X.T.copy()
+    return X, Y - np.einsum("inl,il->nl", A, X), bad
+
+
+def _warn_coincident():
+    warnings.warn(
+        "steering vectors nearly coincide at some snapshots; "
+        "least squares used the minimum-norm solution",
+        NumericsWarning,
+        stacklevel=3,
+    )
+
+
 def amplitudes_ls(trajectories, blocks, array: ArrayConfig):
     """Exact per-snapshot least-squares amplitudes for k trajectories.
 
@@ -188,24 +215,15 @@ def amplitudes_ls(trajectories, blocks, array: ArrayConfig):
     trajectories = list(trajectories)
     if len(trajectories) < 1:
         raise ValueError("need at least one trajectory")
-    wavelengths = block_wavelengths(array, blocks)
     out = []
     deficient = False
-    for block, lam in zip(blocks, wavelengths):
-        L = block.data.shape[1]
-        A = np.stack(
-            [trajectory_steering_matrix(t, array, L, lam) for t in trajectories]
-        )  # (k, N, L)
+    for block, lam in zip(blocks, block_wavelengths(array, blocks)):
+        A = steering_stack(trajectories, array, block.snapshots, lam)
         X, bad = batched_snapshot_ls(A, block.data)
         deficient |= bad
         out.append(X.T.copy())
     if deficient:
-        warnings.warn(
-            "steering vectors nearly coincide at some snapshots; "
-            "used minimum-norm amplitudes",
-            NumericsWarning,
-            stacklevel=2,
-        )
+        _warn_coincident()
     return out
 
 
@@ -306,18 +324,12 @@ def newton_step(
 
 
 def model_residuals(trajectories, amplitudes, blocks, array, wavelengths):
-    """Residual matrices Y_f - sum_i A_i diag(x_i) plus the stacked steering
-    tensors used for derivative assembly."""
-    residuals, steering = [], []
-    for fi, (block, lam) in enumerate(zip(blocks, wavelengths)):
-        L = block.snapshots
-        A = np.stack(
-            [trajectory_steering_matrix(t, array, L, lam) for t in trajectories]
-        )  # (k, N, L)
-        model_f = np.einsum("inl,il->nl", A, amplitudes[fi])
-        residuals.append(block.data - model_f)
-        steering.append(A)
-    return residuals, steering
+    """Residual matrices Y_f - sum_i A_i diag(x_i) for per-frequency (k, L)
+    amplitudes, plus the (k, N, L) steering stacks they were built from."""
+    L = blocks[0].snapshots
+    steering = [steering_stack(trajectories, array, L, lam) for lam in wavelengths]
+    fitted = [np.einsum("inl,il->nl", A, X) for A, X in zip(steering, amplitudes)]
+    return [b.data - f for b, f in zip(blocks, fitted)], steering
 
 
 def _fit_error(residuals) -> float:
@@ -336,7 +348,8 @@ def joint_refine(
     eliminated by variable projection.
 
     At every evaluation the amplitudes are set to their closed-form optimum
-    (`amplitudes_ls`), so the search runs over trajectory parameters only.
+    and the residual is the data projected away from the steering stack
+    (`project_out`), so the search runs over trajectory parameters only.
     Descent directions come from a damped Gauss-Newton model built on the
     Kaufman variable-projection Jacobian (amplitudes held at their optimum,
     which by the envelope theorem also yields the exact reduced gradient),
@@ -364,14 +377,23 @@ def joint_refine(
     def split(u):
         return [TrajectoryParams.from_vector(model, u[i * D : (i + 1) * D]) for i in range(k)]
 
-    def evaluate(u):
+    last = None  # (fit error, trajectories, amplitudes, residuals, stacks) of the latest point
+
+    def fit_error(u):
+        # one steering stack per frequency serves both the amplitude solve
+        # and the residual
+        nonlocal last
         trajs = split(u)
-        X = amplitudes_ls(trajs, blocks, array)
-        R, A = model_residuals(trajs, X, blocks, array, wavelengths)
-        return _fit_error(R), trajs, X, R, A
+        A = [steering_stack(trajs, array, L, lam) for lam in wavelengths]
+        X, R, bad = zip(*(project_out(A_f, block.data) for A_f, block in zip(A, blocks)))
+        if any(bad):
+            _warn_coincident()
+        last = (_fit_error(R), trajs, list(X), list(R), A)
+        return last[0]
 
     u = box.clip(np.concatenate([t.vector() for t in trajectories]))
-    E, trajs, X, R, A = evaluate(u)
+    fit_error(u)
+    E, trajs, X, R, A = last
     step_norms = []
     objectives = []
     converged = False
@@ -396,7 +418,7 @@ def joint_refine(
             d = np.linalg.solve(H + mu * np.eye(k * D), -g)
         except np.linalg.LinAlgError:
             d = -g
-        u_new, E_new = _backtrack(lambda v: evaluate(v)[0], u, d, g, E, box, maximize=False)
+        u_new, _ = _backtrack(fit_error, u, d, g, E, box, maximize=False)
         step = float(np.linalg.norm(u_new - u))
         step_norms.append(step)
         if step < step_tol:
@@ -404,8 +426,9 @@ def joint_refine(
             objectives.append(E)
             converged = True
             break
+        # an accepted point is the last one _backtrack evaluated
         u = u_new
-        E, trajs, X, R, A = evaluate(u)
+        E, trajs, X, R, A = last
         objectives.append(E)
     report = OptimReport(len(step_norms), converged, E, tuple(step_norms), tuple(objectives))
     return trajs, X, report

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+from trajloc import harness
 from trajloc.blockio import load_block_set
 from trajloc.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 DEMO_CONFIG = """
 name: cli-demo
@@ -30,7 +37,7 @@ def config_path(tmp_path):
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    for name in ("snr", "grid-step", "wideband", "timing"):
+    for name in ("snr", "snapshots", "grid-step", "wideband"):
         assert name in out
 
 
@@ -102,3 +109,31 @@ def test_synth_rejects_sweep_config(tmp_path):
     p.write_text(DEMO_CONFIG.replace("snr_db: 10", "snr_db: [0, 10]"))
     with pytest.raises(SystemExit):
         main(["synth", "--config", str(p), "--out", str(tmp_path / "x")])
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_algorithms_help_names_every_estimator(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "500")  # argparse wraps at hyphens otherwise
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    for name in harness.ESTIMATORS:
+        assert name in out
+
+
+def test_demo_script_runs_every_estimator():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "demo_single_block.py"), "--snr", "30"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    for name in harness.ESTIMATORS:
+        assert any(line.split()[:1] == [name] for line in lines), name

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from trajloc import TrajectoryModel, atom, build_grid, grid_point, trajectory_steering_matrix
+from trajloc import TrajectoryModel, build_grid, grid_point
 from trajloc.grids import doa_table, param_matrix
-from trajloc.model import ArrayConfig
 
 
 def test_linear_grid_size(linear_grid):
@@ -62,15 +61,6 @@ def test_invalid_axes():
         build_grid([("phi", 10, 1, 0)], TrajectoryModel.polynomial(0))
     with pytest.raises(ValueError):
         build_grid([("phi", -85, 2, 85)], TrajectoryModel.polynomial(1))
-
-
-def test_atom_matches_direct_steering(linear_grid):
-    arr = ArrayConfig(10)
-    rng = np.random.default_rng(4)
-    for idx in rng.integers(0, linear_grid.size, size=3):
-        A = atom(linear_grid, int(idx), arr, 30, 1.0)
-        B = trajectory_steering_matrix(grid_point(linear_grid, int(idx)), arr, 30, 1.0)
-        np.testing.assert_array_equal(A, B)
 
 
 def test_doa_table_matches_pointwise(linear_grid):

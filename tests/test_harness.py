@@ -6,6 +6,7 @@ import pytest
 from trajloc import ScenarioConfig, TrajectoryModel, emit_results, run_scenario
 from trajloc.harness import (
     ALGORITHMS,
+    ESTIMATORS,
     TrialReport,
     aggregate_csv_rows,
     apply_overrides,
@@ -103,9 +104,11 @@ class TestBuiltins:
             "grid-step",
             "resolution",
             "nonlinear",
-            "timing",
             "wideband",
         ]
+
+    def test_estimator_table_is_the_algorithm_list(self):
+        assert tuple(ESTIMATORS) == ALGORITHMS
 
     def test_snr_experiment_shape(self):
         cfg = builtin_experiment("snr")

@@ -276,6 +276,43 @@ class TestJointRefine:
             W, X, report = joint_refine(start, blocks, array, self.bounds())
             assert report.final_objective <= fit_at(start) + 1e-9
 
+    def test_coincident_start_warns(self, array):
+        from trajloc import NumericsWarning
+
+        src = TrajectoryParams(LINEAR, 10.0, (1.0,))
+        blocks, _ = synthesize_block([src], array, 30, 5.0, seed=5)
+        with pytest.warns(NumericsWarning):
+            joint_refine([src, src], blocks, array, self.bounds(), max_iters=1)
+
+    def test_one_stack_per_point_and_no_reevaluation(self, monkeypatch):
+        # one accepted Gauss-Newton step evaluates two points, the start and
+        # the candidate, each with one steering stack per frequency
+        from trajloc import ArrayConfig, optim
+
+        freqs = (1400.0, 1600.0, 1800.0)
+        array = ArrayConfig.for_frequencies(10, freqs)
+        s1 = TrajectoryParams(LINEAR, 20.7, (1.73,))
+        s2 = TrajectoryParams(LINEAR, -40.4, (-2.6,))
+        blocks, _ = synthesize_block([s1, s2], array, 30, 20.0, freqs, seed=11)
+        start = [TrajectoryParams(LINEAR, 21.0, (1.5,)), TrajectoryParams(LINEAR, -41.0, (-2.5,))]
+        calls = {}
+
+        def counted(name):
+            fn = getattr(optim, name)
+
+            def call(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(optim, name, call)
+
+        counted("batched_snapshot_ls")
+        counted("trajectory_steering_matrix")
+        _, _, report = joint_refine(start, blocks, array, self.bounds(), max_iters=1)
+        F, k = len(freqs), len(start)
+        assert report.iterations == 1 and report.step_norms[0] > 0
+        assert calls == {"batched_snapshot_ls": 2 * F, "trajectory_steering_matrix": 2 * k * F}
+
     def test_zero_iterations_amplitudes_match_direct_solve(self, array):
         s1 = TrajectoryParams(LINEAR, 20.0, (1.5,))
         s2 = TrajectoryParams(LINEAR, -40.0, (-2.5,))
