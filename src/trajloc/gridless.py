@@ -74,12 +74,14 @@ def _single_fit(omega, residuals, array, wavelengths):
 
 def _coarse_starts(residuals, grid, array, wavelengths, n_starts, trace):
     values = grid_beam_power(residuals, grid, array, wavelengths)
-    if n_starts <= 1:
-        return [grid_point(grid, int(np.argmax(values)))]
-    peaks = find_peaks(Spectrum(grid, values), n_starts)
-    if peaks.shortfall:
-        trace.flags.append("coarse-peak-shortfall")
-    return peaks.params
+    if n_starts > 1:
+        peaks = find_peaks(Spectrum(grid, values), n_starts)
+        if peaks.shortfall:
+            trace.flags.append("coarse-peak-shortfall")
+        if peaks.entries:
+            return peaks.params
+    # one start, or a zero residual that has no peaks
+    return [grid_point(grid, int(np.argmax(values)))]
 
 
 def tl_sfw(

@@ -1,5 +1,10 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajloc import (
     ArrayConfig,
@@ -22,7 +27,7 @@ from trajloc import (
 )
 from trajloc.gridalgos import _scan_rows, grid_beam_power
 from trajloc.grids import phase_table
-from trajloc.model import trajectory_steering_matrix, wavelength_for
+from trajloc.model import block_wavelengths, trajectory_steering_matrix, wavelength_for
 from trajloc.optim import _phase_scale
 
 LINEAR = TrajectoryModel.polynomial(1)
@@ -50,6 +55,47 @@ def reference_beam_power(residuals, grid, array, wavelengths):
             acc += R[n]
         values += (acc.real**2 + acc.imag**2).sum(axis=1)
     return values / L
+
+
+def reference_sbl(blocks, grid, array, noise_variance, tol=1e-3, max_iters=500):
+    """The dense TL-SBL iteration that tl_sbl runs on the lag structure: forms
+    S_l = sigma^2 I + A_l diag(gamma) A_l^H and S_l^{-1} A_l in full.
+    Returns (gamma, iterations run, converged)."""
+    N, L = blocks[0].data.shape
+    lam = block_wavelengths(array, blocks)[0]
+    M = grid.size
+    E = phase_table(grid, L, _phase_scale(array, lam))
+    A = np.empty((L, N, M), dtype=complex)
+    A[:, 0, :] = 1.0
+    for n in range(1, N):
+        A[:, n, :] = A[:, n - 1, :] * E.T
+    Ac = np.conj(A)
+    Yl = blocks[0].data.T
+    gamma = np.ones(M)
+    eye = np.eye(N)[None]
+    for it in range(1, max_iters + 1):
+        Sigma = noise_variance * eye + np.einsum("lnm,lkm->lnk", A * gamma[None, None, :], Ac)
+        Cinv = np.linalg.inv(Sigma)
+        Cy = np.einsum("lnk,lk->ln", Cinv, Yl)
+        b = np.einsum("lnm,ln->lm", Ac, Cy)
+        CA = np.einsum("lnk,lkm->lnm", Cinv, A)
+        q = np.einsum("lnm,lnm->lm", Ac, CA).real
+        num = (b.real**2 + b.imag**2).sum(axis=0)
+        den = q.sum(axis=0)
+        gamma_new = gamma * num / den
+        rel = float(np.max(np.abs(gamma_new - gamma)) / max(np.max(gamma), 1e-300))
+        gamma = gamma_new
+        if rel < tol:
+            return gamma, it, True
+    return gamma, max_iters, False
+
+
+def quiet_sbl(*args, **kwargs):
+    """tl_sbl with its non-convergence warning recorded: (spectrum, peaks, warned)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", NumericsWarning)
+        spec, peaks = tl_sbl(*args, **kwargs)
+    return spec, peaks, any(issubclass(w.category, NumericsWarning) for w in caught)
 
 
 def grid_of_size(M):
@@ -174,6 +220,16 @@ class TestFindPeaks:
         with pytest.raises(ValueError):
             find_peaks(Spectrum(linear_grid, np.zeros(linear_grid.size)), 0)
 
+    def test_zero_plateau_is_not_a_peak(self, linear_grid):
+        values = np.zeros(linear_grid.size)
+        idx = grid_index_of(linear_grid, -39.0, 3.5)
+        values[idx] = 1.0
+        peaks = find_peaks(Spectrum(linear_grid, values), 4)
+        assert peaks.shortfall
+        assert [(p.vector().tolist(), v) for p, v in peaks.entries] == [([-39.0, 3.5], 1.0)]
+        empty = find_peaks(Spectrum(linear_grid, np.zeros(linear_grid.size)), 2)
+        assert empty.entries == () and empty.shortfall
+
 
 class TestTlOmp:
     def test_single_source_exact_in_one_iteration(self, array, linear_grid):
@@ -262,6 +318,79 @@ class TestTlSbl:
         blocks, _ = synthesize_block(four_sources, array, 30, 5.0, seed=9)
         with pytest.raises(ValueError):
             tl_sbl(blocks, linear_grid, array, 4, 0.0)
+
+    @pytest.mark.parametrize("max_iters", [1, 5, 40])
+    def test_gamma_matches_dense_reference(self, array, linear_grid, four_sources, max_iters):
+        blocks, truth = synthesize_block(four_sources, array, 30, 5.0, seed=6)
+        want, _, _ = reference_sbl(blocks, linear_grid, array, truth.noise_variance, max_iters=max_iters)
+        spec, _, _ = quiet_sbl(blocks, linear_grid, array, 4, truth.noise_variance, max_iters=max_iters)
+        assert np.max(np.abs(spec.values - want)) <= 1e-9 * np.max(want)
+
+    @pytest.mark.parametrize("snr_db, seed", [(30.0, 0), (30.0, 1), (30.0, 2), (5.0, 0), (5.0, 1)])
+    def test_iterations_and_peaks_match_dense_reference(self, array, linear_grid, four_sources, snr_db, seed):
+        blocks, truth = synthesize_block(four_sources, array, 30, snr_db, seed=seed)
+        gamma, iters, converged = reference_sbl(blocks, linear_grid, array, truth.noise_variance)
+        assert converged
+        args = (blocks, linear_grid, array, 4, truth.noise_variance)
+        # converged at exactly `iters`: not one iteration earlier
+        spec, peaks, warned = quiet_sbl(*args, max_iters=iters)
+        assert not warned
+        assert quiet_sbl(*args, max_iters=iters - 1)[2]
+        want = find_peaks(Spectrum(linear_grid, gamma), 4 + 2)
+        assert (peaks.params, peaks.shortfall) == (want.params, want.shortfall)
+        assert len(peaks.params) == 4 + 2
+        assert np.max(np.abs(spec.values - gamma)) <= 1e-9 * np.max(gamma)
+
+    def test_memory_stays_near_one_powers_tensor(self, array, linear_grid, four_sources):
+        blocks, truth = synthesize_block(four_sources, array, 30, 5.0, seed=10)
+        args = (blocks, linear_grid, array, 4, truth.noise_variance)
+        quiet_sbl(*args, max_iters=1)  # the phase table is cached, not counted
+        tracemalloc.start()
+        try:
+            quiet_sbl(*args, max_iters=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        powers_bytes = 30 * 10 * linear_grid.size * 16  # the (L, N, M) complex tensor
+        assert peak < 2 * powers_bytes
+
+
+# the `linear_grid` fixture's grid; hypothesis tests take no function-scoped fixtures
+SYMMETRIC_GRID = build_grid([("phi", -85, 2, 85), ("alpha1", -5, 0.5, 5)], LINEAR)
+
+
+def _sbl_gammas(seed, transform):
+    """Four-iteration TL-SBL gamma for two off-grid linear sources at 10 dB,
+    from the data Y and from transform(Y)."""
+    rng = np.random.default_rng(seed)
+    sources = [
+        TrajectoryParams(LINEAR, p, (a,))
+        for p, a in zip(rng.uniform(-70, 70, 2), rng.uniform(-4, 4, 2))
+    ]
+    array = ArrayConfig(10)
+    blocks, truth = synthesize_block(sources, array, 30, 10.0, seed=seed)
+    Y = blocks[0].data
+    return [
+        quiet_sbl([ObservationBlock(data, None, 30)], SYMMETRIC_GRID, array, 2,
+                  truth.noise_variance, max_iters=4)[0].values
+        for data in (Y, transform(Y))
+    ]
+
+
+class TestTlSblProperties:
+    @given(seed=st.integers(0, 2**16), psi=st.floats(0.0, 2 * np.pi))
+    @settings(max_examples=4, deadline=None)
+    def test_global_phase_leaves_gamma_unchanged(self, seed, psi):
+        g0, g1 = _sbl_gammas(seed, lambda Y: Y * np.exp(1j * psi))
+        assert np.max(np.abs(g1 - g0)) <= 1e-9 * np.max(g0)
+
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=4, deadline=None)
+    def test_conjugate_data_mirrors_gamma(self, seed):
+        g0, g1 = _sbl_gammas(seed, np.conj)
+        # (phi, alpha) -> (-phi, -alpha) reverses both axes of the symmetric grid
+        mirrored = g0.reshape(SYMMETRIC_GRID.shape)[::-1, ::-1].reshape(-1)
+        assert np.max(np.abs(g1 - mirrored)) <= 1e-9 * np.max(g0)
 
 
 ESTIMATORS = {

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 
 from trajloc import (
     Bounds,
+    ObservationBlock,
     TrajectoryModel,
     TrajectoryParams,
     build_grid,
@@ -35,6 +38,15 @@ class TestTlSfw:
         assert trajectory_rmse(src, multi[0].params, 30) <= (
             trajectory_rmse(src, single[0].params, 30) + 1e-9
         )
+
+    def test_multi_start_on_zero_data(self, array, linear_grid):
+        # a zero residual has a zero beam-power field, which holds no peaks
+        block = ObservationBlock(np.zeros((10, 30), complex), None, 30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            estimates, trace = tl_sfw([block], linear_grid, array, 2, n_starts=3)
+        assert len(estimates) == 2
+        assert "coarse-peak-shortfall" in trace.flags
 
     def test_k_zero_returns_data_as_residual(self, array, linear_grid):
         src = TrajectoryParams(LINEAR, 20.0, (1.5,))
