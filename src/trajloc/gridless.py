@@ -2,9 +2,10 @@
 
 TL-SFW is the greedy (lambda = 0) sliding Frank-Wolfe solver for the
 Beurling-LASSO form of the observation model: per outer iteration it adds the
-best new trajectory (coarse grid scan + continuous local ascent), solves the
-amplitudes exactly, then jointly refines all trajectories found so far. The
-residual it carries forward is the plain fit residual.
+best new trajectory (coarse grid scan + continuous local ascent), then jointly
+refines all trajectories found so far with their amplitudes eliminated by
+variable projection. The residual it carries forward is the plain fit
+residual.
 
 TL-NOMP adds one source per iteration with a single safeguarded Newton
 refinement, then cyclically re-refines every source found so far until the
@@ -32,7 +33,6 @@ from .model import (
 )
 from .optim import (
     Bounds,
-    amplitudes_ls,
     batched_snapshot_ls,
     joint_refine,
     maximize_local,
@@ -96,10 +96,11 @@ def tl_sfw(
 
     Per source: (i) coarse grid argmax of the beam power against the current
     residual followed by box-constrained local ascent over the continuum;
-    (ii) exact least-squares amplitudes for all sources found so far,
-    starting from the matched-filter initialization; (iii) joint
-    variable-projection refinement of every trajectory. The residual is
-    recomputed from the raw blocks after each iteration.
+    (ii) joint variable-projection refinement of every trajectory found so
+    far, which eliminates the amplitudes at their exact least-squares
+    optimum at every point it evaluates, so there is no separate amplitude
+    step. The residual is recomputed from the raw blocks after each
+    iteration.
 
     Returns (list of K SourceEstimate, RunTrace).
     """
@@ -116,7 +117,6 @@ def tl_sfw(
 
     residuals = [y.copy() for y in Y]
     W: list[TrajectoryParams] = []
-    X = []  # per-frequency (k, L) arrays
     for k in range(1, K + 1):
         t0 = time.perf_counter()
         starts = _coarse_starts(residuals, grid, array, wavelengths, n_starts, trace)
@@ -133,22 +133,10 @@ def tl_sfw(
         t2 = time.perf_counter()
         trace.add_time("local", t2 - t1)
 
-        # matched-filter initialization against the raw data, then the exact
-        # amplitude solve (problem (b))
-        matched = [_single_fit(w, Y, array, wavelengths)[1] for w in W]  # per source, per frequency
-        init = [np.stack(x) for x in zip(*matched)]
-        X = amplitudes_ls(W, blocks, array)
-        for label, amps in ((f"add[{k}]", init), (f"amp[{k}]", X)):
-            fit, _ = model_residuals(W, amps, blocks, array, wavelengths)
-            trace.fit_history.append((label, 0.5 * _frob_sq(fit)))
-        t3 = time.perf_counter()
-        trace.add_time("amplitude", t3 - t2)
-
-        W, X, report = joint_refine(W, blocks, array, bounds)
+        W, X, report = joint_refine(W, blocks, array, bounds)  # X: per-frequency (k, L)
         trace.refinements += report.iterations
         trace.fit_history.append((f"joint[{k}]", report.final_objective))
-        t4 = time.perf_counter()
-        trace.add_time("joint", t4 - t3)
+        trace.add_time("joint", time.perf_counter() - t2)
 
         residuals, _ = model_residuals(W, X, blocks, array, wavelengths)
         trace.residual_norms.append(float(np.sqrt(_frob_sq(residuals))))

@@ -157,6 +157,23 @@ class TestAmplitudes:
         with pytest.warns(NumericsWarning):
             amplitudes_ls([src, src], blocks, array)
 
+    @pytest.mark.parametrize("phis", [(20.0,), (20.0, -40.0), (20.0, 20.0)])
+    def test_stacked_right_hand_sides_match_one_at_a_time(self, array, phis):
+        # (N, L, m) right-hand sides, as joint_refine projects its Jacobian,
+        # on the matched-filter, normal-equation and pseudo-inverse paths
+        from trajloc.optim import project_out, steering_stack
+
+        rng = np.random.default_rng(15)
+        trajs = [TrajectoryParams(LINEAR, phi, (1.0,)) for phi in phis]
+        A = steering_stack(trajs, array, 30, wavelength_for(array, None))
+        Y = np.stack([random_residual(rng) for _ in range(3)], axis=-1)
+        X, R, bad = project_out(A, Y)
+        assert bad == (phis == (20.0, 20.0))
+        for j in range(3):
+            X_j, R_j, _ = project_out(A, Y[..., j])
+            np.testing.assert_allclose(X[..., j], X_j, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(R[..., j], R_j, rtol=0, atol=1e-12)
+
 
 class TestLocalAscent:
     def bounds(self):
@@ -256,6 +273,19 @@ class TestJointRefine:
         np.testing.assert_allclose(W[1].vector(), s2.vector(), atol=1e-3)
         assert report.final_objective < 1e-10
 
+    def test_converges_quadratically(self, array):
+        # Gauss-Newton on the projected (Kaufman) Jacobian: with noiseless
+        # data the residual vanishes at the optimum, so each step is of the
+        # order of the square of the one before
+        s1 = TrajectoryParams(LINEAR, 20.7, (1.73,))
+        s2 = TrajectoryParams(LINEAR, -40.4, (-2.6,))
+        blocks, _ = synthesize_block([s1, s2], array, 30, None, seed=11)
+        start = [TrajectoryParams(LINEAR, 21.0, (1.5,)), TrajectoryParams(LINEAR, -41.0, (-2.5,))]
+        _, _, report = joint_refine(start, blocks, array, self.bounds())
+        assert report.converged and report.iterations <= 6
+        steps = [s for s in report.step_norms if s > 1e-12]
+        assert all(b <= 10 * a**2 for a, b in zip(steps, steps[1:]))
+
     def test_fit_error_never_increases(self, array):
         rng = np.random.default_rng(13)
         s1 = TrajectoryParams(LINEAR, 20.7, (1.73,))
@@ -286,7 +316,8 @@ class TestJointRefine:
 
     def test_one_stack_per_point_and_no_reevaluation(self, monkeypatch):
         # one accepted Gauss-Newton step evaluates two points, the start and
-        # the candidate, each with one steering stack per frequency
+        # the candidate, each with one steering stack per frequency, and
+        # projects the derivative columns once per frequency
         from trajloc import ArrayConfig, optim
 
         freqs = (1400.0, 1600.0, 1800.0)
@@ -311,7 +342,7 @@ class TestJointRefine:
         _, _, report = joint_refine(start, blocks, array, self.bounds(), max_iters=1)
         F, k = len(freqs), len(start)
         assert report.iterations == 1 and report.step_norms[0] > 0
-        assert calls == {"batched_snapshot_ls": 2 * F, "trajectory_steering_matrix": 2 * k * F}
+        assert calls == {"batched_snapshot_ls": 3 * F, "trajectory_steering_matrix": 2 * k * F}
 
     def test_zero_iterations_amplitudes_match_direct_solve(self, array):
         s1 = TrajectoryParams(LINEAR, 20.0, (1.5,))
