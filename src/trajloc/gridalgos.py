@@ -10,7 +10,9 @@ The kernel walks the grid in blocks of about a thousand rows, so the two
 (rows, L) complex arrays its sensor recursion touches stay in a core's L2
 cache instead of streaming an (M, L) table from memory once per sensor. The
 blocking changes no element's arithmetic: spectra are bit-identical to a
-whole-table pass.
+whole-table pass. The same kernel scans a subset of rows, bit-identical at
+each row to the full scan, and it zeroes the grid points whose trajectory
+leaves (-90, 90) degrees.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grids import ParamGrid, grid_point, phase_table
+from .grids import ParamGrid, grid_point, nonphysical_mask, phase_table
 from .model import (
     ArrayConfig,
     SourceEstimate,
@@ -94,30 +96,49 @@ def _scan_rows(L: int) -> int:
     return max(1, _SCAN_BLOCK_BYTES // (16 * L))
 
 
-def grid_beam_power(residuals, grid: ParamGrid, array: ArrayConfig, wavelengths) -> np.ndarray:
-    """Beam power (1/L) sum_f sum_l |a_lf^H r_lf|^2 at every grid point.
+def grid_beam_power(
+    residuals, grid: ParamGrid, array: ArrayConfig, wavelengths, rows=None
+) -> np.ndarray:
+    """Beam power (1/L) sum_f sum_l |a_lf^H r_lf|^2 at every grid point, or
+    at the grid points ``rows`` (strictly increasing linear indices) only.
 
     Horner recursion over the sensor index against the cached per-grid phasor
     table, so a scan costs N complex multiplies of an (M, L) array per
     frequency. The recursion runs over blocks of `_scan_rows` grid rows: the
     conjugated phasors and the accumulator of one block stay in cache through
     the whole recursion, where a whole-table pass would stream the (M, L)
-    arrays from memory once per sensor. Every element sees the same arithmetic
-    in the same order as in a whole-table pass, so the values do not depend on
-    the block size.
+    arrays from memory once per sensor. A sub-scan gathers its table rows
+    into the same block. Every element sees the same arithmetic in the same
+    order as in a whole-table pass, so the values depend neither on the block
+    size nor on which other rows are scanned.
+
+    Grid trajectories that leave (-90, 90) degrees (`nonphysical_mask`) get
+    power 0, so no peak search or argmax can return them.
     """
     L = residuals[0].shape[1]
-    M = grid.size
-    rows = min(M, _scan_rows(L))
-    conj_block = np.empty((rows, L), dtype=complex)
-    acc_block = np.empty((rows, L), dtype=complex)
+    mask = nonphysical_mask(grid, L)
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError("rows must be a 1-D array of grid indices")
+        if rows.size and (rows[0] < 0 or rows[-1] >= grid.size or np.any(np.diff(rows) <= 0)):
+            raise ValueError(f"rows must be strictly increasing indices in [0, {grid.size})")
+        mask = mask[rows]
+    M = mask.size
+    step = max(1, min(M, _scan_rows(L)))
+    conj_block = np.empty((step, L), dtype=complex)
+    acc_block = np.empty((step, L), dtype=complex)
     values = np.zeros(M)
     for R, lam in zip(residuals, wavelengths):
         table = phase_table(grid, L, _phase_scale(array, lam))  # (M, L)
         N = R.shape[0]
-        for s in range(0, M, rows):
-            e = min(s + rows, M)
-            E = np.conjugate(table[s:e], out=conj_block[: e - s])
+        for s in range(0, M, step):
+            e = min(s + step, M)
+            if rows is None:
+                E = np.conjugate(table[s:e], out=conj_block[: e - s])
+            else:
+                E = np.take(table, rows[s:e], axis=0, out=conj_block[: e - s])
+                np.conjugate(E, out=E)
             acc = acc_block[: e - s]
             acc[...] = R[N - 1]
             for n in range(N - 2, -1, -1):
@@ -130,6 +151,7 @@ def grid_beam_power(residuals, grid: ParamGrid, array: ArrayConfig, wavelengths)
             np.square(im, out=im)
             re += im
             values[s:e] += re.sum(axis=1)
+    values[mask] = 0.0
     return values / L
 
 
@@ -145,6 +167,15 @@ def tl_cbf_spectrum(blocks, grid: ParamGrid, array: ArrayConfig) -> Spectrum:
     return Spectrum(grid, values)
 
 
+def local_maxima(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Linear indices, increasing, of the local maxima of ``values`` laid out
+    row-major on a lattice of ``shape``: positive points >= every neighbor
+    within Chebyshev distance 1 (neighborhoods truncated at the boundary)."""
+    field = values.reshape(shape)
+    local_max = ndimage.maximum_filter(field, size=3, mode="constant", cval=-np.inf)
+    return np.flatnonzero(((field == local_max) & (field > 0)).reshape(-1))
+
+
 def find_peaks(spectrum: Spectrum, count: int) -> PeakSet:
     """Up to ``count`` local spectrum maxima, strongest first.
 
@@ -156,9 +187,7 @@ def find_peaks(spectrum: Spectrum, count: int) -> PeakSet:
     """
     if count < 1:
         raise ValueError("peak count must be >= 1")
-    field = spectrum.values.reshape(spectrum.grid.shape)
-    local_max = ndimage.maximum_filter(field, size=3, mode="constant", cval=-np.inf)
-    idx = np.flatnonzero(((field == local_max) & (field > 0)).reshape(-1))
+    idx = local_maxima(spectrum.values, spectrum.grid.shape)
     order = np.lexsort((idx, -spectrum.values[idx]))
     chosen = idx[order][:count]
     entries = tuple(

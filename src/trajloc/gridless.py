@@ -2,10 +2,10 @@
 
 TL-SFW is the greedy (lambda = 0) sliding Frank-Wolfe solver for the
 Beurling-LASSO form of the observation model: per outer iteration it adds the
-best new trajectory (coarse grid scan + continuous local ascent), then jointly
-refines all trajectories found so far with their amplitudes eliminated by
-variable projection. The residual it carries forward is the plain fit
-residual.
+best new trajectory (coarse-to-fine grid start + continuous local ascent),
+then jointly refines all trajectories found so far with their amplitudes
+eliminated by variable projection. The residual it carries forward is the
+plain fit residual.
 
 TL-NOMP adds one source per iteration with a single safeguarded Newton
 refinement, then cyclically re-refines every source found so far until the
@@ -13,6 +13,13 @@ residual energy stops changing; its carried residual is the orthogonal
 projection of the data away from all selected steering vectors. The
 asymmetry between the two residual definitions is deliberate and follows the
 respective pseudo-codes.
+
+Both estimators only need a grid start in the right basin, since continuous
+ascent, Newton steps and the joint refine finish the job. So neither scans
+the whole grid: `_coarse_starts` scans the coarse lattice of every second
+index per axis (about 1/2^D of the points), finds that field's local
+maxima, and rescans the full-resolution neighborhood of each one. The
+grid-based estimators keep the full scan, because the scan is their result.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridalgos import Spectrum, _check_blocks, find_peaks, grid_beam_power
-from .grids import ParamGrid, grid_point
+from .gridalgos import _check_blocks, grid_beam_power, local_maxima
+from .grids import ParamGrid, coarse_lattice, coarse_shape, grid_point, nonphysical_mask
 from .model import (
     ArrayConfig,
     SourceEstimate,
@@ -52,7 +59,6 @@ class RunTrace:
     timings: dict[str, float] = field(default_factory=dict)
     refinements: int = 0
     flags: list[str] = field(default_factory=list)
-    final_residuals: list[np.ndarray] = field(default_factory=list)
 
     def add_time(self, phase: str, seconds: float):
         self.timings[phase] = self.timings.get(phase, 0.0) + seconds
@@ -73,15 +79,40 @@ def _single_fit(omega, residuals, array, wavelengths):
 
 
 def _coarse_starts(residuals, grid, array, wavelengths, n_starts, trace):
-    values = grid_beam_power(residuals, grid, array, wavelengths)
-    if n_starts > 1:
-        peaks = find_peaks(Spectrum(grid, values), n_starts)
-        if peaks.shortfall:
-            trace.flags.append("coarse-peak-shortfall")
-        if peaks.entries:
-            return peaks.params
-    # one start, or a zero residual that has no peaks
-    return [grid_point(grid, int(np.argmax(values)))]
+    """Up to ``n_starts`` grid starts, best first, without a full grid scan.
+
+    Scans the coarse lattice (every second index per axis), takes the local
+    maxima of that coarse field, rescans the full-resolution Chebyshev-1
+    neighborhood of each, and keeps the best point of every neighborhood.
+    Every grid point lies within distance 1 of the lattice, so each basin of
+    the coarse field is entered at full resolution; the continuous ascent
+    that follows needs a start in the right basin, not the exact argmax.
+    """
+    L = residuals[0].shape[1]
+    lattice = coarse_lattice(grid)
+    coarse = grid_beam_power(residuals, grid, array, wavelengths, rows=lattice)
+    maxima = lattice[local_maxima(coarse, coarse_shape(grid))]
+    if maxima.size == 0:
+        # a zero residual has a zero field, which holds no peaks
+        trace.flags.append("coarse-peak-shortfall")
+        return [grid_point(grid, int(np.argmin(nonphysical_mask(grid, L))))]
+    # (maxima, 3^D) neighborhood indices in row-major offset order; clipping
+    # moves a coordinate beyond the boundary back to the center's, which
+    # keeps the point inside the truncated neighborhood
+    D = len(grid.shape)
+    offsets = np.indices((3,) * D).reshape(D, -1) - 1  # (D, 3^D)
+    centers = np.unravel_index(maxima, grid.shape)
+    multi = tuple(c[:, None] + o[None, :] for c, o in zip(centers, offsets))
+    hood = np.ravel_multi_index(multi, grid.shape, mode="clip")
+    rows = np.unique(hood)
+    values = grid_beam_power(residuals, grid, array, wavelengths, rows=rows)
+    hood_values = values[np.searchsorted(rows, hood)]
+    best = np.unique(hood[np.arange(len(hood)), np.argmax(hood_values, axis=1)])
+    best_values = values[np.searchsorted(rows, best)]
+    if best.size < n_starts:
+        trace.flags.append("coarse-peak-shortfall")
+    order = np.lexsort((best, -best_values))[:n_starts]
+    return [grid_point(grid, int(i)) for i in best[order]]
 
 
 def tl_sfw(
@@ -94,8 +125,11 @@ def tl_sfw(
 ):
     """Sliding Frank-Wolfe trajectory localization.
 
-    Per source: (i) coarse grid argmax of the beam power against the current
-    residual followed by box-constrained local ascent over the continuum;
+    Per source: (i) coarse-to-fine grid start (`_coarse_starts`: the beam
+    power against the current residual on every second grid index per axis,
+    then at full resolution around each coarse local maximum; the best
+    ``n_starts`` rescanned points, one per coarse maximum) followed by
+    box-constrained local ascent over the continuum from each start;
     (ii) joint variable-projection refinement of every trajectory found so
     far, which eliminates the amplitudes at their exact least-squares
     optimum at every point it evaluates, so there is no separate amplitude
@@ -109,13 +143,11 @@ def tl_sfw(
     _check_blocks(blocks, array)
     wavelengths = block_wavelengths(array, blocks)
     bounds = Bounds.from_grid(grid) if bounds is None else bounds
-    Y = [b.data for b in blocks]
     trace = RunTrace()
     if K == 0:
-        trace.final_residuals = [y.copy() for y in Y]
         return [], trace
 
-    residuals = [y.copy() for y in Y]
+    residuals = [b.data for b in blocks]
     W: list[TrajectoryParams] = []
     for k in range(1, K + 1):
         t0 = time.perf_counter()
@@ -141,7 +173,6 @@ def tl_sfw(
         residuals, _ = model_residuals(W, X, blocks, array, wavelengths)
         trace.residual_norms.append(float(np.sqrt(_frob_sq(residuals))))
 
-    trace.final_residuals = residuals
     estimates = [
         SourceEstimate(w, tuple(Xf[i] for Xf in X)) for i, w in enumerate(W)
     ]
@@ -159,7 +190,10 @@ def tl_nomp(
 ):
     """Newtonized OMP trajectory localization.
 
-    Per source: (i) coarse grid argmax against the orthogonal residual;
+    Per source: (i) coarse-to-fine grid start against the orthogonal
+    residual (the best point of the full-resolution rescans around the
+    local maxima of a scan of every second grid index per axis, as in
+    `tl_sfw`);
     (ii) one safeguarded Newton step and matched-filter amplitudes; (iii)
     global cyclic refinement sweeping all sources found so far (add a source
     back into the residual, Newton-refine, re-estimate, subtract) until the
@@ -177,7 +211,6 @@ def tl_nomp(
     Y = [b.data for b in blocks]
     trace = RunTrace()
     if K == 0:
-        trace.final_residuals = [y.copy() for y in Y]
         return [], trace
 
     residuals = list(Y)  # orthogonal residual R^{[k-1]}
@@ -231,6 +264,5 @@ def tl_nomp(
         trace.residual_norms.append(float(np.sqrt(_frob_sq(residuals))))
         trace.add_time("project", time.perf_counter() - t3)
 
-    trace.final_residuals = residuals
     estimates = [SourceEstimate(w, tuple(amps[i])) for i, w in enumerate(W)]
     return estimates, trace

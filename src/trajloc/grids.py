@@ -108,6 +108,33 @@ def doa_table(grid: ParamGrid, L: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+def nonphysical_mask(grid: ParamGrid, L: int) -> np.ndarray:
+    """True at every grid trajectory whose DOA reaches |theta| >= 90 degrees
+    at some snapshot, shape (M,). Such a point is no physical source, so the
+    grid scans zero it."""
+    mask = np.any(np.abs(doa_table(grid, L)) >= 90.0, axis=1)
+    mask.setflags(write=False)
+    return mask
+
+
+@lru_cache(maxsize=8)
+def coarse_lattice(grid: ParamGrid) -> np.ndarray:
+    """Linear indices of the coarse lattice, every second index on each axis
+    (0, 2, 4, ...), in increasing order. It is the row-major flattening of a
+    grid of shape ``coarse_shape(grid)``; every grid point lies within
+    Chebyshev distance 1 of a lattice point."""
+    axes = np.meshgrid(*(np.arange(0, n, 2) for n in grid.shape), indexing="ij")
+    idx = np.ravel_multi_index(tuple(a.reshape(-1) for a in axes), grid.shape)
+    idx.setflags(write=False)
+    return idx
+
+
+def coarse_shape(grid: ParamGrid) -> tuple[int, ...]:
+    """Shape of the coarse lattice of `coarse_lattice`."""
+    return tuple((n + 1) // 2 for n in grid.shape)
+
+
+@lru_cache(maxsize=8)
 def phase_table(grid: ParamGrid, L: int, phase_scale: float) -> np.ndarray:
     """Per-snapshot sensor-1 phasors ``exp(j*phase_scale*sin(theta))`` for the
     whole grid, shape (M, L). Sensor n uses the n-th power of these entries."""

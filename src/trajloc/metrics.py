@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .grids import ParamGrid, doa_table, grid_point
+from .grids import ParamGrid, doa_table, grid_point, nonphysical_mask
 from .model import TrajectoryParams, doas
 
 
@@ -88,10 +88,13 @@ def min_grid_rmse(true: TrajectoryParams, grid: ParamGrid, L: int):
     """Brute-force minimum trajectory RMSE achievable on a grid.
 
     Evaluates every one of the M grid points; this is the oracle for the
-    error floor of on-grid methods, so no shortcut is taken.
+    error floor of on-grid methods, so no shortcut is taken. Points whose
+    trajectory leaves (-90, 90) degrees (`nonphysical_mask`) are excluded,
+    as the grid scans never return them.
     """
     theta_true = doas(true, L)
     table = doa_table(grid, L)
     rmse = np.sqrt(np.mean((table - theta_true[None, :]) ** 2, axis=1))
+    rmse[nonphysical_mask(grid, L)] = np.inf
     best = int(np.argmin(rmse))
     return float(rmse[best]), grid_point(grid, best)

@@ -26,8 +26,13 @@ from trajloc import (
     trajectory_rmse,
 )
 from trajloc.gridalgos import _scan_rows, grid_beam_power
-from trajloc.grids import phase_table
-from trajloc.model import block_wavelengths, trajectory_steering_matrix, wavelength_for
+from trajloc.grids import coarse_lattice, nonphysical_mask, phase_table
+from trajloc.model import (
+    block_wavelengths,
+    trajectory_in_bounds,
+    trajectory_steering_matrix,
+    wavelength_for,
+)
 from trajloc.optim import _phase_scale
 
 LINEAR = TrajectoryModel.polynomial(1)
@@ -142,6 +147,62 @@ class TestGridBeamPower:
             assert np.array_equal(t, t0)
             assert not t.flags.writeable
         assert np.array_equal(values, reference_beam_power(residuals, grid, array, wavelengths))
+
+
+    @pytest.mark.parametrize(
+        "M, pick",
+        [
+            (3 * ROWS, lambda M: np.arange(0, M, 2)),  # longer than a block, crosses it
+            (3 * ROWS, lambda M: np.array([M - 2])),  # a single row
+            (1806, lambda M: np.arange(M)),  # every row
+        ],
+    )
+    def test_sub_scan_matches_full_scan(self, M, pick):
+        grid = grid_of_size(M)
+        array = ArrayConfig.for_frequencies(10, WIDEBAND)
+        wavelengths = tuple(wavelength_for(array, f) for f in WIDEBAND)
+        rng = np.random.default_rng(M)
+        residuals = [rng.standard_normal((10, 30)) + 1j * rng.standard_normal((10, 30)) for _ in WIDEBAND]
+        idx = pick(M)
+        full = grid_beam_power(residuals, grid, array, wavelengths)
+        assert np.array_equal(grid_beam_power(residuals, grid, array, wavelengths, rows=idx), full[idx])
+
+    def test_sub_scan_of_masked_rows(self, array, linear_grid):
+        # the coarse lattice holds the masked (-85, -5) corner, index 0
+        rng = np.random.default_rng(5)
+        residuals = [rng.standard_normal((10, 30)) + 1j * rng.standard_normal((10, 30))]
+        lams = (wavelength_for(array, None),)
+        idx = coarse_lattice(linear_grid)
+        full = grid_beam_power(residuals, linear_grid, array, lams)
+        sub = grid_beam_power(residuals, linear_grid, array, lams, rows=idx)
+        assert idx[0] == 0 and sub[0] == 0.0
+        assert np.array_equal(sub, full[idx])
+
+    @pytest.mark.parametrize(
+        "rows", [[3, 1], [2, 2], [-1, 4], [0, 1806], [[0, 1]], [0.0, 1.0]]
+    )
+    def test_rejects_bad_rows(self, array, linear_grid, rows):
+        residuals = [np.ones((10, 30), complex)]
+        with pytest.raises(ValueError, match="rows must be"):
+            grid_beam_power(residuals, linear_grid, array, (wavelength_for(array, None),), rows=np.array(rows))
+
+    def test_nonphysical_corner_is_never_a_peak(self, array, linear_grid):
+        # noiseless data from the (85, 5) corner, whose DOA reaches 90 degrees
+        corner = linear_grid.size - 1
+        lam = wavelength_for(array, None)
+        Y = trajectory_steering_matrix(grid_point(linear_grid, corner), array, 30, lam)
+        blocks = [ObservationBlock(Y, None, 30)]
+        unmasked = reference_beam_power([Y], linear_grid, array, (lam,))
+        assert int(np.argmax(unmasked)) == corner
+        mask = nonphysical_mask(linear_grid, 30)
+        spec = tl_cbf_spectrum(blocks, linear_grid, array)
+        assert np.array_equal(spec.values, np.where(mask, 0.0, unmasked))
+        physical = lambda p: trajectory_in_bounds(p, 30)
+        peaks = find_peaks(spec, 3)
+        assert peaks.entries and all(physical(p) for p in peaks.params)
+        (omp,), _ = tl_omp(blocks, linear_grid, array, 1)
+        assert physical(omp.params)
+        assert peaks.params[0] == omp.params == grid_point(linear_grid, corner - 1)
 
 
 class TestCbfSpectrum:

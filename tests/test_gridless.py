@@ -2,10 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from trajloc import (
+    ArrayConfig,
     Bounds,
     ObservationBlock,
+    SourceEstimate,
     TrajectoryModel,
     TrajectoryParams,
     build_grid,
@@ -16,8 +21,49 @@ from trajloc import (
     tl_sfw,
     trajectory_rmse,
 )
+from trajloc import gridless
+from trajloc.grids import grid_index
+from trajloc.gridalgos import Spectrum, find_peaks, grid_beam_power
+from trajloc.harness import builtin_experiment, materialize
+from trajloc.model import block_wavelengths, wavelength_for
+from trajloc.optim import model_residuals, project_out, steering_stack
 
 LINEAR = TrajectoryModel.polynomial(1)
+
+
+def reference_coarse_starts(residuals, grid, array, wavelengths, n_starts, trace):
+    """The full-grid start search that _coarse_starts replaces: the argmax,
+    or the n_starts strongest local maxima, of a scan of every grid point."""
+    values = grid_beam_power(residuals, grid, array, wavelengths)
+    if n_starts > 1:
+        peaks = find_peaks(Spectrum(grid, values), n_starts)
+        if peaks.shortfall:
+            trace.flags.append("coarse-peak-shortfall")
+        if peaks.entries:
+            return peaks.params
+    return [grid_point(grid, int(np.argmax(values)))]
+
+
+def reference_rescan_starts(values, grid, n_starts):
+    """The coarse-to-fine rule written with slices of a full-scan field: the
+    local maxima of field[::2, ::2, ...], then the argmax of the full field
+    over the 3^D block around each; the best n_starts, one per block."""
+    field = values.reshape(grid.shape)
+    coarse = field[(slice(None, None, 2),) * field.ndim]
+    neighborhood_max = ndimage.maximum_filter(coarse, size=3, mode="constant", cval=-np.inf)
+    best = set()
+    for c in np.argwhere((coarse == neighborhood_max) & (coarse > 0)):
+        block = tuple(slice(max(2 * i - 1, 0), 2 * i + 2) for i in c)
+        local = np.unravel_index(np.argmax(field[block]), field[block].shape)
+        best.add(int(np.ravel_multi_index([s.start + j for s, j in zip(block, local)], grid.shape)))
+    return [grid_point(grid, i) for i in sorted(best, key=lambda i: (-values[i], i))[:n_starts]]
+
+
+def matched_rmse(want, got, L):
+    """Largest trajectory RMSE between an estimate set and its closest
+    counterparts in another set of the same size."""
+    assert len(want) == len(got)
+    return max(min(trajectory_rmse(w.params, g.params, L) for g in got) for w in want)
 
 
 class TestTlSfw:
@@ -49,12 +95,21 @@ class TestTlSfw:
         assert len(estimates) == 2
         assert "coarse-peak-shortfall" in trace.flags
 
-    def test_k_zero_returns_data_as_residual(self, array, linear_grid):
+    def test_k_zero_returns_empty_trace(self, array, linear_grid):
         src = TrajectoryParams(LINEAR, 20.0, (1.5,))
         blocks, _ = synthesize_block([src], array, 30, 5.0, seed=1)
         estimates, trace = tl_sfw(blocks, linear_grid, array, 0)
         assert estimates == []
-        np.testing.assert_array_equal(trace.final_residuals[0], blocks[0].data)
+        assert trace.residual_norms == [] and trace.fit_history == []
+
+    def test_residual_norm_matches_returned_estimates(self, array, linear_grid, four_sources):
+        # the carried residual is the plain fit residual of the estimates
+        blocks, _ = synthesize_block(four_sources, array, 30, 5.0, seed=1)
+        estimates, trace = tl_sfw(blocks, linear_grid, array, 4)
+        W = [e.params for e in estimates]
+        X = [np.stack([e.amplitudes[0] for e in estimates])]
+        (R,), _ = model_residuals(W, X, blocks, array, [wavelength_for(array, None)])
+        assert np.linalg.norm(R) == pytest.approx(trace.residual_norms[-1], rel=1e-12)
 
     def test_joint_fit_error_non_increasing_across_sources(self, array, linear_grid, four_sources):
         # each joint refine starts from the previous sources plus one, so
@@ -114,15 +169,12 @@ class TestTlNomp:
             assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
     def test_final_residual_orthogonal_to_estimates(self, array, linear_grid, four_sources):
-        from trajloc.model import trajectory_steering_matrix, wavelength_for
-
+        # the carried residual is the data projected away from the estimates
         blocks, _ = synthesize_block(four_sources, array, 30, 5.0, seed=8)
         estimates, trace = tl_nomp(blocks, linear_grid, array, 4)
-        lam = wavelength_for(array, None)
-        R = trace.final_residuals[0]
-        A = np.stack(
-            [trajectory_steering_matrix(e.params, array, 30, lam) for e in estimates]
-        )
+        A = steering_stack([e.params for e in estimates], array, 30, wavelength_for(array, None))
+        _, R, _ = project_out(A, blocks[0].data)
+        assert np.linalg.norm(R) == pytest.approx(trace.residual_norms[-1], rel=1e-12)
         ip = np.abs(np.einsum("inl,nl->il", np.conj(A), R))
         norms = np.linalg.norm(R, axis=0)
         assert np.all(ip <= 1e-9 * np.maximum(norms, 1e-30)[None, :] * np.sqrt(10))
@@ -133,6 +185,108 @@ class TestTlNomp:
         estimates, _ = tl_nomp(blocks, linear_grid, array, 4, bounds)
         for e in estimates:
             assert bounds.contains(e.params.vector())
+
+
+class TestCoarseStarts:
+    """The coarse-to-fine starts follow the rule as written with slices of a
+    full scan, and they enter the same basins as the full-grid search they
+    replace, so the refined estimates agree."""
+
+    @pytest.mark.parametrize("case", ["snr", "wideband", "off-lattice"])
+    @pytest.mark.parametrize("n_starts", [1, 3])
+    def test_matches_slice_reference(self, case, n_starts):
+        if case == "wideband":
+            cell, seed = materialize(builtin_experiment("wideband"), "freq_count", 7.0), 500
+        else:
+            cell, seed = materialize(builtin_experiment("snr"), "snr_db", 5.0), 600
+        if case == "off-lattice":
+            # noiseless, at odd indices on both axes: no lattice point holds it
+            src = grid_point(cell.grid, grid_index(cell.grid, (41, 13)))
+            blocks, _ = synthesize_block([src], cell.array, 30, None, seed=0, unit_amplitudes=True)
+        else:
+            blocks, _ = synthesize_block(
+                cell.sources, cell.array, cell.snapshots, cell.snr_db, cell.frequencies, seed
+            )
+        args = ([b.data for b in blocks], cell.grid, cell.array, block_wavelengths(cell.array, blocks))
+        starts = gridless._coarse_starts(*args, n_starts, gridless.RunTrace())
+        assert starts == reference_rescan_starts(grid_beam_power(*args), cell.grid, n_starts)
+
+    @pytest.mark.parametrize(
+        "experiment, sweep, value, seeds",
+        [("wideband", "freq_count", 7.0, (500, 501, 502)), ("snr", "snr_db", 5.0, (600, 601, 602, 603))],
+    )
+    @pytest.mark.parametrize("estimator", [tl_sfw, tl_nomp])
+    def test_matches_full_scan_starts(self, monkeypatch, experiment, sweep, value, seeds, estimator):
+        cell = materialize(builtin_experiment(experiment), sweep, value)
+        assert cell.snr_db == 5.0
+        for seed in seeds:
+            blocks, truth = synthesize_block(
+                cell.sources, cell.array, cell.snapshots, cell.snr_db, cell.frequencies, seed
+            )
+            args = (blocks, cell.grid, cell.array, len(truth.sources))
+            got, _ = estimator(*args)
+            with monkeypatch.context() as m:
+                m.setattr(gridless, "_coarse_starts", reference_coarse_starts)
+                want, _ = estimator(*args)
+            assert matched_rmse(want, got, cell.snapshots) < 1e-4, seed
+
+
+# the `linear_grid` fixture's grid; hypothesis tests take no function-scoped fixtures
+SYMMETRIC_GRID = build_grid([("phi", -85, 2, 85), ("alpha1", -5, 0.5, 5)], LINEAR)
+
+
+def _gridless_pairs(seed, transform):
+    """(tl-sfw, tl-nomp) estimates of two separated off-grid linear sources at
+    20 dB, from the data Y and from transform(Y)."""
+    rng = np.random.default_rng(seed)
+    sources = [
+        TrajectoryParams(LINEAR, rng.uniform(*phis), (rng.uniform(-4, 4),))
+        for phis in ((-70, -10), (10, 70))
+    ]
+    array = ArrayConfig(10)
+    blocks, _ = synthesize_block(sources, array, 30, 20.0, seed=seed)
+    Y = blocks[0].data
+    return [
+        [estimator([ObservationBlock(data, None, 30)], SYMMETRIC_GRID, array, 2)[0]
+         for data in (Y, transform(Y))]
+        for estimator in (tl_sfw, tl_nomp)
+    ]
+
+
+def _assert_conjugate_mirrors(seed):
+    # conj(a(theta)) = a(-theta): (phi, alpha) -> (-phi, -alpha). The coarse
+    # lattice of the 86-point phi axis is not mirror-symmetric, so the
+    # rescans and the continuous refine must absorb the asymmetry.
+    for plain, conjugated in _gridless_pairs(seed, np.conj):
+        mirrored = [
+            SourceEstimate(TrajectoryParams.from_vector(LINEAR, -e.params.vector()), e.amplitudes)
+            for e in plain
+        ]
+        assert matched_rmse(mirrored, conjugated, 30) < 1e-4
+
+
+class TestGridlessProperties:
+    # derandomized: a random draw that meets the end-fire case below would
+    # make the suite fail at random; that case is pinned as its own test
+    @given(seed=st.integers(0, 2**16), psi=st.floats(0.0, 2 * np.pi))
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    def test_global_phase_leaves_estimates_unchanged(self, seed, psi):
+        for plain, rotated in _gridless_pairs(seed, lambda Y: Y * np.exp(1j * psi)):
+            assert matched_rmse(plain, rotated, 30) < 1e-6
+
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    def test_conjugate_data_mirrors_estimates(self, seed):
+        _assert_conjugate_mirrors(seed)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the source at (-69.3, -1) is taken for a trajectory on the phi = 87 bound "
+        "that reaches 90.9 degrees, where the fit is flat along alpha, so the two mirrored "
+        "coarse starts stop 0.01 apart in alpha; gridless estimates are not yet kept physical",
+    )
+    def test_conjugate_data_mirrors_estimates_near_end_fire(self):
+        _assert_conjugate_mirrors(62919)
 
 
 class TestWidebandDegeneracy:

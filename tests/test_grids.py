@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from trajloc import TrajectoryModel, build_grid, grid_point
-from trajloc.grids import doa_table, param_matrix
+from trajloc.grids import coarse_lattice, coarse_shape, doa_table, nonphysical_mask, param_matrix
+
+QUADRATIC_GRID = build_grid(
+    [("phi", -85, 2, 85), ("alpha1", -5, 0.5, 5), ("alpha2", -5, 0.5, 5)],
+    TrajectoryModel.polynomial(2),
+)
 
 
 def test_linear_grid_size(linear_grid):
@@ -11,10 +16,7 @@ def test_linear_grid_size(linear_grid):
 
 
 def test_quadratic_grid_size():
-    grid = build_grid(
-        [("phi", -85, 2, 85), ("alpha1", -5, 0.5, 5), ("alpha2", -5, 0.5, 5)],
-        TrajectoryModel.polynomial(2),
-    )
+    grid = QUADRATIC_GRID
     assert grid.size == 86 * 21 * 21 == 37926
 
 
@@ -79,3 +81,34 @@ def test_tables_are_read_only(linear_grid):
     pm = param_matrix(linear_grid)
     with pytest.raises(ValueError):
         pm[0, 0] = 1.0
+
+
+def test_nonphysical_mask(linear_grid):
+    mask = nonphysical_mask(linear_grid, 30)
+    assert mask.shape == (1806,) and not mask.flags.writeable
+    reach = np.max(np.abs(doa_table(linear_grid, 30)), axis=1)
+    assert np.array_equal(mask, reach >= 90.0)
+    # the two corners whose slope carries the DOA past +-90 degrees
+    assert [grid_point(linear_grid, int(i)).vector().tolist() for i in np.flatnonzero(mask)] == [
+        [-85.0, -5.0],
+        [85.0, 5.0],
+    ]
+    assert int(nonphysical_mask(QUADRATIC_GRID, 30).sum()) == 200
+
+
+@pytest.mark.parametrize("grid", ["linear", "quadratic"])
+def test_coarse_lattice_covers_grid(grid, linear_grid):
+    grid = linear_grid if grid == "linear" else QUADRATIC_GRID
+    lattice = coarse_lattice(grid)
+    assert not lattice.flags.writeable
+    assert lattice.size == int(np.prod(coarse_shape(grid))) == {1806: 473, 37926: 5203}[grid.size]
+    assert np.all(np.diff(lattice) > 0)
+    multi = np.stack(np.unravel_index(lattice, grid.shape), axis=1)
+    assert np.all(multi % 2 == 0)
+    # row-major in the coarse shape: halving the multi-index gives its position
+    assert np.array_equal(np.ravel_multi_index(tuple((multi // 2).T), coarse_shape(grid)), np.arange(lattice.size))
+    if grid.size == 1806:
+        # every grid point is within Chebyshev distance 1 of a lattice point
+        every = np.stack(np.unravel_index(np.arange(grid.size), grid.shape), axis=1)
+        dist = np.max(np.abs(every[:, None, :] - multi[None, :, :]), axis=2).min(axis=1)
+        assert dist.max() == 1

@@ -156,6 +156,15 @@ class TestGridFloor:
         for idx in rng.integers(0, linear_grid.size, size=1000):
             assert floor <= trajectory_rmse(true, grid_point(linear_grid, int(idx)), 30) + 1e-15
 
+    def test_floor_skips_nonphysical_points(self, linear_grid):
+        # (85, 4.9) ends at 89.9 degrees; its nearest grid point (85, 5)
+        # ends at 90 and is masked, so the floor comes from (85, 4.5)
+        true = lin(85.0, 4.9)
+        floor, best = min_grid_rmse(true, linear_grid, 30)
+        assert best.vector().tolist() == [85.0, 4.5]
+        assert floor == pytest.approx(trajectory_rmse(true, best, 30), abs=1e-15)
+        assert trajectory_rmse(true, lin(85.0, 5.0), 30) < floor
+
     def test_finer_grid_never_worse(self, linear_model):
         from trajloc import build_grid
 
