@@ -20,7 +20,6 @@ def _add_common(p):
         default=None,
         help="comma-separated subset of: " + ",".join(harness.ESTIMATORS),
     )
-    p.add_argument("--format", default="csv", choices=["csv"], help="output format")
     p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
     p.add_argument(
         "--fake-clock",
@@ -79,7 +78,7 @@ def cmd_synth(args) -> int:
 def _run_and_emit(config, args) -> int:
     config = _overridden(config, args)
     report = harness.run_scenario(config, n_jobs=args.jobs, fake_clock=args.fake_clock)
-    rows_path, agg_path = harness.emit_results(report, args.out, args.format)
+    rows_path, agg_path = harness.emit_results(report, args.out)
     print(rows_path)
     print(agg_path)
     return 0

@@ -86,6 +86,10 @@ def _check_blocks(blocks, array: ArrayConfig) -> tuple[int, int]:
     return N, L
 
 
+# TL-SBL stops once the largest gamma change, relative to the largest gamma,
+# falls below this.
+SBL_TOL = 1e-3
+
 # Bytes of one (rows, L) complex block of the scan: two of them (phasors and
 # accumulator) stay resident in a 2 MB per-core L2 cache.
 _SCAN_BLOCK_BYTES = 1 << 19
@@ -240,7 +244,6 @@ def tl_sbl(
     K: int,
     noise_variance: float,
     peak_excess: int = 2,
-    tol: float = 1e-3,
     max_iters: int = 500,
 ):
     """Sparse-Bayesian-learning spectrum over the trajectory grid (narrowband).
@@ -252,7 +255,7 @@ def tl_sbl(
 
     with per-snapshot covariances S_l = sigma_n^2 I + sum_m gamma_m a_lm
     a_lm^H, starting from gamma = 1, until the largest gamma change relative
-    to the largest gamma drops below ``tol`` or ``max_iters`` is reached
+    to the largest gamma drops below `SBL_TOL` or ``max_iters`` is reached
     (non-convergence warns, never raises). Returns the final gamma vector as
     a Spectrum together with its K + peak_excess strongest peaks.
 
@@ -304,7 +307,7 @@ def tl_sbl(
         gamma_new = gamma * num / den
         rel = float(np.max(np.abs(gamma_new - gamma)) / max(np.max(gamma), 1e-300))
         gamma = gamma_new
-        if rel < tol:
+        if rel < SBL_TOL:
             converged = True
             break
     if not converged:

@@ -16,7 +16,7 @@ respective pseudo-codes.
 
 Both estimators only need a grid start in the right basin, since continuous
 ascent, Newton steps and the joint refine finish the job. So neither scans
-the whole grid: `_coarse_starts` scans the coarse lattice of every second
+the whole grid: `_coarse_start` scans the coarse lattice of every second
 index per axis (about 1/2^D of the points), finds that field's local
 maxima, and rescans the full-resolution neighborhood of each one. The
 grid-based estimators keep the full scan, because the scan is their result.
@@ -50,6 +50,12 @@ from .optim import (
 )
 
 
+# TL-NOMP ends its cyclic sweeps once a sweep changes the residual energy by
+# less than CYCLIC_TOL, or after MAX_CYCLES sweeps.
+CYCLIC_TOL = 1e-6
+MAX_CYCLES = 50
+
+
 @dataclass
 class RunTrace:
     """Diagnostics accumulated by one estimator invocation."""
@@ -78,15 +84,16 @@ def _single_fit(omega, residuals, array, wavelengths):
     return stacks, amps
 
 
-def _coarse_starts(residuals, grid, array, wavelengths, n_starts, trace):
-    """Up to ``n_starts`` grid starts, best first, without a full grid scan.
+def _coarse_start(residuals, grid, array, wavelengths, trace):
+    """The grid start of the next source, without a full grid scan.
 
     Scans the coarse lattice (every second index per axis), takes the local
     maxima of that coarse field, rescans the full-resolution Chebyshev-1
-    neighborhood of each, and keeps the best point of every neighborhood.
-    Every grid point lies within distance 1 of the lattice, so each basin of
-    the coarse field is entered at full resolution; the continuous ascent
-    that follows needs a start in the right basin, not the exact argmax.
+    neighborhood of each, and returns the best rescanned point, the lowest
+    index on a tie. Every grid point lies within distance 1 of the lattice,
+    so each basin of the coarse field is entered at full resolution; the
+    continuous ascent that follows needs a start in the right basin, not the
+    exact argmax.
     """
     L = residuals[0].shape[1]
     lattice = coarse_lattice(grid)
@@ -95,24 +102,17 @@ def _coarse_starts(residuals, grid, array, wavelengths, n_starts, trace):
     if maxima.size == 0:
         # a zero residual has a zero field, which holds no peaks
         trace.flags.append("coarse-peak-shortfall")
-        return [grid_point(grid, int(np.argmin(nonphysical_mask(grid, L))))]
-    # (maxima, 3^D) neighborhood indices in row-major offset order; clipping
-    # moves a coordinate beyond the boundary back to the center's, which
-    # keeps the point inside the truncated neighborhood
+        return grid_point(grid, int(np.argmin(nonphysical_mask(grid, L))))
+    # (maxima, 3^D) neighborhood indices; clipping moves a coordinate beyond
+    # the boundary back to the center's, which keeps the point inside the
+    # truncated neighborhood
     D = len(grid.shape)
     offsets = np.indices((3,) * D).reshape(D, -1) - 1  # (D, 3^D)
     centers = np.unravel_index(maxima, grid.shape)
     multi = tuple(c[:, None] + o[None, :] for c, o in zip(centers, offsets))
-    hood = np.ravel_multi_index(multi, grid.shape, mode="clip")
-    rows = np.unique(hood)
+    rows = np.unique(np.ravel_multi_index(multi, grid.shape, mode="clip"))
     values = grid_beam_power(residuals, grid, array, wavelengths, rows=rows)
-    hood_values = values[np.searchsorted(rows, hood)]
-    best = np.unique(hood[np.arange(len(hood)), np.argmax(hood_values, axis=1)])
-    best_values = values[np.searchsorted(rows, best)]
-    if best.size < n_starts:
-        trace.flags.append("coarse-peak-shortfall")
-    order = np.lexsort((best, -best_values))[:n_starts]
-    return [grid_point(grid, int(i)) for i in best[order]]
+    return grid_point(grid, int(rows[np.argmax(values)]))
 
 
 def tl_sfw(
@@ -120,16 +120,14 @@ def tl_sfw(
     grid: ParamGrid,
     array: ArrayConfig,
     K: int,
-    bounds: Bounds | None = None,
-    n_starts: int = 1,
 ):
     """Sliding Frank-Wolfe trajectory localization.
 
-    Per source: (i) coarse-to-fine grid start (`_coarse_starts`: the beam
+    Per source: (i) coarse-to-fine grid start (`_coarse_start`: the beam
     power against the current residual on every second grid index per axis,
     then at full resolution around each coarse local maximum; the best
-    ``n_starts`` rescanned points, one per coarse maximum) followed by
-    box-constrained local ascent over the continuum from each start;
+    rescanned point) followed by local ascent over the continuum inside
+    `Bounds.from_grid`;
     (ii) joint variable-projection refinement of every trajectory found so
     far, which eliminates the amplitudes at their exact least-squares
     optimum at every point it evaluates, so there is no separate amplitude
@@ -142,7 +140,7 @@ def tl_sfw(
         raise ValueError("K must be >= 0")
     _check_blocks(blocks, array)
     wavelengths = block_wavelengths(array, blocks)
-    bounds = Bounds.from_grid(grid) if bounds is None else bounds
+    bounds = Bounds.from_grid(grid)
     trace = RunTrace()
     if K == 0:
         return [], trace
@@ -151,17 +149,13 @@ def tl_sfw(
     W: list[TrajectoryParams] = []
     for k in range(1, K + 1):
         t0 = time.perf_counter()
-        starts = _coarse_starts(residuals, grid, array, wavelengths, n_starts, trace)
+        start = _coarse_start(residuals, grid, array, wavelengths, trace)
         t1 = time.perf_counter()
         trace.add_time("coarse", t1 - t0)
 
-        best, best_val = None, -np.inf
-        for start in starts:
-            cand, report = maximize_local(start, residuals, array, wavelengths, bounds)
-            trace.refinements += report.iterations
-            if report.final_objective > best_val:
-                best, best_val = cand, report.final_objective
-        W.append(best)
+        omega, report = maximize_local(start, residuals, array, wavelengths, bounds)
+        trace.refinements += report.iterations
+        W.append(omega)
         t2 = time.perf_counter()
         trace.add_time("local", t2 - t1)
 
@@ -184,21 +178,16 @@ def tl_nomp(
     grid: ParamGrid,
     array: ArrayConfig,
     K: int,
-    bounds: Bounds | None = None,
-    cyclic_tol: float = 1e-6,
-    max_cycles: int = 50,
 ):
     """Newtonized OMP trajectory localization.
 
     Per source: (i) coarse-to-fine grid start against the orthogonal
-    residual (the best point of the full-resolution rescans around the
-    local maxima of a scan of every second grid index per axis, as in
-    `tl_sfw`);
+    residual (`_coarse_start`, as in `tl_sfw`);
     (ii) one safeguarded Newton step and matched-filter amplitudes; (iii)
     global cyclic refinement sweeping all sources found so far (add a source
     back into the residual, Newton-refine, re-estimate, subtract) until the
-    residual energy changes by less than ``cyclic_tol`` over a sweep, capped
-    at ``max_cycles``; (iv) residual re-projection of the data orthogonally
+    residual energy changes by less than `CYCLIC_TOL` over a sweep, capped
+    at `MAX_CYCLES`; (iv) residual re-projection of the data orthogonally
     to all selected steering vectors.
 
     Returns (list of K SourceEstimate, RunTrace).
@@ -207,7 +196,7 @@ def tl_nomp(
         raise ValueError("K must be >= 0")
     _check_blocks(blocks, array)
     wavelengths = block_wavelengths(array, blocks)
-    bounds = Bounds.from_grid(grid) if bounds is None else bounds
+    bounds = Bounds.from_grid(grid)
     Y = [b.data for b in blocks]
     trace = RunTrace()
     if K == 0:
@@ -220,7 +209,7 @@ def tl_nomp(
     L = Y[0].shape[1]
     for k in range(1, K + 1):
         t0 = time.perf_counter()
-        (omega,) = _coarse_starts(residuals, grid, array, wavelengths, 1, trace)
+        omega = _coarse_start(residuals, grid, array, wavelengths, trace)
         t1 = time.perf_counter()
         trace.add_time("coarse", t1 - t0)
 
@@ -238,7 +227,7 @@ def tl_nomp(
         before = _frob_sq(R_star)
         cycles = 0
         converged = False
-        while cycles < max_cycles:
+        while cycles < MAX_CYCLES:
             for i in range(len(W)):
                 R_hat = [Rs + A[0] * x[None, :] for Rs, A, x in zip(R_star, stacks[i], amps[i])]
                 W[i], _ = newton_step(W[i], R_hat, array, wavelengths, bounds)
@@ -248,7 +237,7 @@ def tl_nomp(
             cycles += 1
             after = _frob_sq(R_star)
             trace.fit_history.append((f"cycle[{k}.{cycles}]", after))
-            if abs(before - after) < cyclic_tol:
+            if abs(before - after) < CYCLIC_TOL:
                 converged = True
                 break
             before = after

@@ -425,14 +425,12 @@ def aggregate_csv_rows(dict_rows) -> list[dict]:
     return out
 
 
-def emit_results(report: TrialReport, out_dir: str, fmt: str = "csv"):
+def emit_results(report: TrialReport, out_dir: str):
     """Write rows.csv and aggregate.csv (UTF-8, LF, 6 significant digits).
 
     The aggregate file is recomputed from the formatted row file, so
     re-aggregating the row CSV reproduces it exactly.
     """
-    if fmt != "csv":
-        raise ValueError(f"unsupported format {fmt!r}")
     try:
         os.makedirs(out_dir, exist_ok=True)
         rows_path = os.path.join(out_dir, "rows.csv")

@@ -34,6 +34,11 @@ from .model import (
 ARMIJO = 1e-4
 BACKTRACK = 0.5
 MAX_HALVINGS = 60
+# An ascent or refine stops once its parameter step is shorter than this.
+STEP_TOL = 1e-10
+LOCAL_MAX_ITERS = 100
+# |phi| limit of `Bounds.from_grid`, inside the steering model's valid range.
+PHI_LIMIT = 89.0
 
 
 class NumericsWarning(RuntimeWarning):
@@ -55,15 +60,15 @@ class Bounds:
                 raise ValueError(f"empty bound interval [{lo}, {hi}]")
 
     @classmethod
-    def from_grid(cls, grid: ParamGrid, phi_limit: float = 89.0) -> "Bounds":
-        """Each grid axis extended by one step; phi clamped inside the
-        steering model's valid range."""
+    def from_grid(cls, grid: ParamGrid) -> "Bounds":
+        """Each grid axis extended by one step; phi clamped to
+        [-PHI_LIMIT, PHI_LIMIT]."""
         lows, highs = [], []
         for i, ax in enumerate(grid.axes):
             lo = ax.start - ax.step
             hi = ax.stop + ax.step
             if i == 0:
-                lo, hi = max(lo, -phi_limit), min(hi, phi_limit)
+                lo, hi = max(lo, -PHI_LIMIT), min(hi, PHI_LIMIT)
             lows.append(lo)
             highs.append(hi)
         return cls(tuple(lows), tuple(highs))
@@ -254,15 +259,13 @@ def maximize_local(
     array: ArrayConfig,
     wavelengths,
     bounds: Bounds,
-    step_tol: float = 1e-10,
-    max_iters: int = 100,
 ):
     """Box-constrained local ascent of the beam objective from ``omega0``.
 
     Takes safeguarded Newton steps whenever the Hessian is negative definite
     (so the quadratic model has a maximum), gradient-ascent steps otherwise,
     with projected Armijo backtracking either way. Stops when the parameter
-    step drops below ``step_tol`` or after ``max_iters`` iterations; the
+    step drops below `STEP_TOL` or after `LOCAL_MAX_ITERS` iterations; the
     returned objective is never below the starting one.
     """
     model = omega0.model
@@ -272,7 +275,7 @@ def maximize_local(
     step_norms = []
     objectives = []
     converged = False
-    for _ in range(max_iters):
+    for _ in range(LOCAL_MAX_ITERS):
         g, H = objective_grad_hess(
             TrajectoryParams.from_vector(model, u), residuals, array, wavelengths
         )
@@ -286,7 +289,7 @@ def maximize_local(
         step_norms.append(step)
         u, J = u_new, J_new
         objectives.append(J)
-        if step < step_tol:
+        if step < STEP_TOL:
             converged = True
             break
     report = OptimReport(len(step_norms), converged, J, tuple(step_norms), tuple(objectives))
@@ -343,7 +346,6 @@ def joint_refine(
     blocks,
     array: ArrayConfig,
     bounds: Bounds,
-    step_tol: float = 1e-10,
     max_iters: int = 100,
 ):
     """Jointly refine k trajectories against the raw blocks, amplitudes
@@ -359,7 +361,7 @@ def joint_refine(
     which by the envelope theorem also yields the exact reduced gradient.
     The model then differs from the Hessian of the fit error only by terms
     that vanish with the residual, so the iteration converges quadratically
-    on noiseless data (``step_tol`` in a handful of steps) and fast where
+    on noiseless data (`STEP_TOL` in a handful of steps) and fast where
     the residual is small. Steps are safeguarded by
     projected Armijo backtracking; the returned fit error never exceeds the
     starting one.
@@ -433,8 +435,8 @@ def joint_refine(
         u_new, _ = _backtrack(fit_error, u, d, g, E, box, maximize=False)
         step = float(np.linalg.norm(u_new - u))
         step_norms.append(step)
-        if step < step_tol:
-            # returned state stays at u; u_new is within step_tol of it
+        if step < STEP_TOL:
+            # returned state stays at u; u_new is within STEP_TOL of it
             objectives.append(E)
             converged = True
             break

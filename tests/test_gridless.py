@@ -31,32 +31,26 @@ from trajloc.optim import model_residuals, project_out, steering_stack
 LINEAR = TrajectoryModel.polynomial(1)
 
 
-def reference_coarse_starts(residuals, grid, array, wavelengths, n_starts, trace):
-    """The full-grid start search that _coarse_starts replaces: the argmax,
-    or the n_starts strongest local maxima, of a scan of every grid point."""
+def reference_coarse_start(residuals, grid, array, wavelengths, trace):
+    """The full-grid start search that _coarse_start replaces: the argmax of
+    a scan of every grid point."""
     values = grid_beam_power(residuals, grid, array, wavelengths)
-    if n_starts > 1:
-        peaks = find_peaks(Spectrum(grid, values), n_starts)
-        if peaks.shortfall:
-            trace.flags.append("coarse-peak-shortfall")
-        if peaks.entries:
-            return peaks.params
-    return [grid_point(grid, int(np.argmax(values)))]
+    return grid_point(grid, int(np.argmax(values)))
 
 
-def reference_rescan_starts(values, grid, n_starts):
+def reference_rescan_start(values, grid):
     """The coarse-to-fine rule written with slices of a full-scan field: the
-    local maxima of field[::2, ::2, ...], then the argmax of the full field
-    over the 3^D block around each; the best n_starts, one per block."""
+    local maxima of field[::2, ::2, ...], then the best full-field point over
+    the 3^D blocks around them, the lowest index on a tie."""
     field = values.reshape(grid.shape)
     coarse = field[(slice(None, None, 2),) * field.ndim]
     neighborhood_max = ndimage.maximum_filter(coarse, size=3, mode="constant", cval=-np.inf)
-    best = set()
+    candidates = set()
     for c in np.argwhere((coarse == neighborhood_max) & (coarse > 0)):
         block = tuple(slice(max(2 * i - 1, 0), 2 * i + 2) for i in c)
-        local = np.unravel_index(np.argmax(field[block]), field[block].shape)
-        best.add(int(np.ravel_multi_index([s.start + j for s, j in zip(block, local)], grid.shape)))
-    return [grid_point(grid, i) for i in sorted(best, key=lambda i: (-values[i], i))[:n_starts]]
+        block_idx = np.arange(grid.size).reshape(grid.shape)[block]
+        candidates.update(int(i) for i in block_idx.reshape(-1))
+    return grid_point(grid, min(candidates, key=lambda i: (-values[i], i)))
 
 
 def matched_rmse(want, got, L):
@@ -74,26 +68,6 @@ class TestTlSfw:
         assert trajectory_rmse(src, estimates[0].params, 30) < 1e-3
         assert len(estimates[0].amplitudes) == 1
         assert estimates[0].amplitudes[0].shape == (30,)
-
-    def test_multi_start_recovers_source(self, array, linear_grid):
-        src = TrajectoryParams(LINEAR, 20.7, (1.73,))
-        blocks, _ = synthesize_block([src], array, 30, 15.0, seed=20)
-        single, _ = tl_sfw(blocks, linear_grid, array, 1, n_starts=1)
-        multi, _ = tl_sfw(blocks, linear_grid, array, 1, n_starts=3)
-        assert trajectory_rmse(src, multi[0].params, 30) < 0.1
-        # extra starts can only match or improve the coarse stage
-        assert trajectory_rmse(src, multi[0].params, 30) <= (
-            trajectory_rmse(src, single[0].params, 30) + 1e-9
-        )
-
-    def test_multi_start_on_zero_data(self, array, linear_grid):
-        # a zero residual has a zero beam-power field, which holds no peaks
-        block = ObservationBlock(np.zeros((10, 30), complex), None, 30)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            estimates, trace = tl_sfw([block], linear_grid, array, 2, n_starts=3)
-        assert len(estimates) == 2
-        assert "coarse-peak-shortfall" in trace.flags
 
     def test_k_zero_returns_empty_trace(self, array, linear_grid):
         src = TrajectoryParams(LINEAR, 20.0, (1.5,))
@@ -133,7 +107,7 @@ class TestTlSfw:
         src = TrajectoryParams(LINEAR, 20.7, (1.73,))
         blocks, _ = synthesize_block([src], array, 30, 25.0, seed=4)
         bounds = Bounds.from_grid(linear_grid)
-        estimates, _ = tl_sfw(blocks, linear_grid, array, 1, bounds)
+        estimates, _ = tl_sfw(blocks, linear_grid, array, 1)
         est = estimates[0].params
         assert bounds.contains(est.vector())
         on_grid = any(
@@ -182,7 +156,7 @@ class TestTlNomp:
     def test_estimates_within_bounds(self, array, linear_grid, four_sources):
         blocks, _ = synthesize_block(four_sources, array, 30, 5.0, seed=9)
         bounds = Bounds.from_grid(linear_grid)
-        estimates, _ = tl_nomp(blocks, linear_grid, array, 4, bounds)
+        estimates, _ = tl_nomp(blocks, linear_grid, array, 4)
         for e in estimates:
             assert bounds.contains(e.params.vector())
 
@@ -193,8 +167,7 @@ class TestCoarseStarts:
     replace, so the refined estimates agree."""
 
     @pytest.mark.parametrize("case", ["snr", "wideband", "off-lattice"])
-    @pytest.mark.parametrize("n_starts", [1, 3])
-    def test_matches_slice_reference(self, case, n_starts):
+    def test_matches_slice_reference(self, case):
         if case == "wideband":
             cell, seed = materialize(builtin_experiment("wideband"), "freq_count", 7.0), 500
         else:
@@ -208,8 +181,19 @@ class TestCoarseStarts:
                 cell.sources, cell.array, cell.snapshots, cell.snr_db, cell.frequencies, seed
             )
         args = ([b.data for b in blocks], cell.grid, cell.array, block_wavelengths(cell.array, blocks))
-        starts = gridless._coarse_starts(*args, n_starts, gridless.RunTrace())
-        assert starts == reference_rescan_starts(grid_beam_power(*args), cell.grid, n_starts)
+        start = gridless._coarse_start(*args, gridless.RunTrace())
+        assert start == reference_rescan_start(grid_beam_power(*args), cell.grid)
+
+    @pytest.mark.parametrize("estimator", [tl_sfw, tl_nomp])
+    def test_zero_data_flags_coarse_peak_shortfall(self, array, linear_grid, estimator):
+        # a zero residual has a zero beam-power field, which holds no peaks;
+        # the start falls back to the first physical grid point
+        block = ObservationBlock(np.zeros((10, 30), complex), None, 30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            estimates, trace = estimator([block], linear_grid, array, 2)
+        assert len(estimates) == 2
+        assert "coarse-peak-shortfall" in trace.flags
 
     @pytest.mark.parametrize(
         "experiment, sweep, value, seeds",
@@ -226,7 +210,7 @@ class TestCoarseStarts:
             args = (blocks, cell.grid, cell.array, len(truth.sources))
             got, _ = estimator(*args)
             with monkeypatch.context() as m:
-                m.setattr(gridless, "_coarse_starts", reference_coarse_starts)
+                m.setattr(gridless, "_coarse_start", reference_coarse_start)
                 want, _ = estimator(*args)
             assert matched_rmse(want, got, cell.snapshots) < 1e-4, seed
 

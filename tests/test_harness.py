@@ -219,10 +219,6 @@ class TestEmitResults:
             for row in csv.DictReader(fh):
                 assert 0.0 <= float(row["pd"]) <= 1.0
 
-    def test_unsupported_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_results(TrialReport(()), str(tmp_path), fmt="parquet")
-
 
 class TestConfigFile:
     def test_yaml_round_trip(self, tmp_path):
