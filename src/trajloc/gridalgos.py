@@ -37,6 +37,7 @@ from .optim import (
     _warn_coincident,
     amplitudes_ls,
     project_out,
+    residual_energy,
     steering_stack,
 )
 
@@ -86,9 +87,7 @@ def _check_blocks(blocks, array: ArrayConfig) -> tuple[int, int]:
     return N, L
 
 
-# TL-SBL stops once the largest gamma change, relative to the largest gamma,
-# falls below this.
-SBL_TOL = 1e-3
+SBL_TOL = 1e-3  # TL-SBL's stop: largest gamma change / largest gamma
 
 # Bytes of one (rows, L) complex block of the scan: two of them (phasors and
 # accumulator) stay resident in a 2 MB per-core L2 cache.
@@ -227,7 +226,7 @@ def tl_omp(blocks, grid: ParamGrid, array: ArrayConfig, K: int):
             A = steering_stack(selected, array, L, lam)
             _, residuals[fi], bad = project_out(A, residuals[fi])
             deficient |= bad
-        norms.append(float(np.sqrt(sum(np.sum(np.abs(R) ** 2) for R in residuals))))
+        norms.append(float(np.sqrt(residual_energy(residuals))))
     if deficient:
         _warn_coincident()
     amps = amplitudes_ls(selected, blocks, array)

@@ -46,13 +46,15 @@ from .optim import (
     model_residuals,
     newton_step,
     project_out,
+    residual_energy,
     steering_stack,
 )
 
 
-# TL-NOMP ends its cyclic sweeps once a sweep changes the residual energy by
-# less than CYCLIC_TOL, or after MAX_CYCLES sweeps.
-CYCLIC_TOL = 1e-6
+# TL-NOMP's cyclic sweeps stop once one changes the residual energy by at
+# most CYCLIC_RTOL times the data energy, a test free of the data's scale,
+# or after MAX_CYCLES sweeps.
+CYCLIC_RTOL = 1e-9
 MAX_CYCLES = 50
 
 
@@ -70,10 +72,6 @@ class RunTrace:
         self.timings[phase] = self.timings.get(phase, 0.0) + seconds
 
 
-def _frob_sq(residuals) -> float:
-    return float(sum(np.sum(R.real**2 + R.imag**2) for R in residuals))
-
-
 def _single_fit(omega, residuals, array, wavelengths):
     """One trajectory's (1, N, L) steering stack and its per-snapshot
     matched-filter amplitudes diag(A~(omega)^H R) / N (the single-source
@@ -89,11 +87,10 @@ def _coarse_start(residuals, grid, array, wavelengths, trace):
 
     Scans the coarse lattice (every second index per axis), takes the local
     maxima of that coarse field, rescans the full-resolution Chebyshev-1
-    neighborhood of each, and returns the best rescanned point, the lowest
-    index on a tie. Every grid point lies within distance 1 of the lattice,
-    so each basin of the coarse field is entered at full resolution; the
-    continuous ascent that follows needs a start in the right basin, not the
-    exact argmax.
+    neighborhood of each, and returns the best rescanned point (lowest index
+    on a tie). Every grid point lies within distance 1 of the lattice, so
+    each basin of the coarse field is entered at full resolution; the ascent
+    that follows needs a start in the right basin, not the exact argmax.
     """
     L = residuals[0].shape[1]
     lattice = coarse_lattice(grid)
@@ -103,9 +100,8 @@ def _coarse_start(residuals, grid, array, wavelengths, trace):
         # a zero residual has a zero field, which holds no peaks
         trace.flags.append("coarse-peak-shortfall")
         return grid_point(grid, int(np.argmin(nonphysical_mask(grid, L))))
-    # (maxima, 3^D) neighborhood indices; clipping moves a coordinate beyond
-    # the boundary back to the center's, which keeps the point inside the
-    # truncated neighborhood
+    # (maxima, 3^D) neighborhood indices; clipping moves an out-of-range
+    # coordinate back to the center's, inside the truncated neighborhood
     D = len(grid.shape)
     offsets = np.indices((3,) * D).reshape(D, -1) - 1  # (D, 3^D)
     centers = np.unravel_index(maxima, grid.shape)
@@ -165,7 +161,7 @@ def tl_sfw(
         trace.add_time("joint", time.perf_counter() - t2)
 
         residuals, _ = model_residuals(W, X, blocks, array, wavelengths)
-        trace.residual_norms.append(float(np.sqrt(_frob_sq(residuals))))
+        trace.residual_norms.append(float(np.sqrt(residual_energy(residuals))))
 
     estimates = [
         SourceEstimate(w, tuple(Xf[i] for Xf in X)) for i, w in enumerate(W)
@@ -186,8 +182,8 @@ def tl_nomp(
     (ii) one safeguarded Newton step and matched-filter amplitudes; (iii)
     global cyclic refinement sweeping all sources found so far (add a source
     back into the residual, Newton-refine, re-estimate, subtract) until the
-    residual energy changes by less than `CYCLIC_TOL` over a sweep, capped
-    at `MAX_CYCLES`; (iv) residual re-projection of the data orthogonally
+    residual energy changes by at most `CYCLIC_RTOL` times the data energy
+    over a sweep, capped at `MAX_CYCLES`; (iv) residual re-projection of the data orthogonally
     to all selected steering vectors.
 
     Returns (list of K SourceEstimate, RunTrace).
@@ -207,6 +203,7 @@ def tl_nomp(
     stacks: list[list[np.ndarray]] = []  # per source, per frequency (1, N, L)
     amps: list[list[np.ndarray]] = []  # per source, per frequency (L,)
     L = Y[0].shape[1]
+    tol = CYCLIC_RTOL * residual_energy(Y)
     for k in range(1, K + 1):
         t0 = time.perf_counter()
         omega = _coarse_start(residuals, grid, array, wavelengths, trace)
@@ -224,24 +221,20 @@ def tl_nomp(
 
         X = [np.stack(x) for x in zip(*amps)]  # (k, L) per frequency
         R_star, _ = model_residuals(W, X, blocks, array, wavelengths)
-        before = _frob_sq(R_star)
-        cycles = 0
-        converged = False
-        while cycles < MAX_CYCLES:
+        before = residual_energy(R_star)
+        for cycle in range(1, MAX_CYCLES + 1):
             for i in range(len(W)):
                 R_hat = [Rs + A[0] * x[None, :] for Rs, A, x in zip(R_star, stacks[i], amps[i])]
                 W[i], _ = newton_step(W[i], R_hat, array, wavelengths, bounds)
                 stacks[i], amps[i] = _single_fit(W[i], R_hat, array, wavelengths)
                 trace.refinements += 1
                 R_star = [Rh - A[0] * x[None, :] for Rh, A, x in zip(R_hat, stacks[i], amps[i])]
-            cycles += 1
-            after = _frob_sq(R_star)
-            trace.fit_history.append((f"cycle[{k}.{cycles}]", after))
-            if abs(before - after) < CYCLIC_TOL:
-                converged = True
+            after = residual_energy(R_star)
+            trace.fit_history.append((f"cycle[{k}.{cycle}]", after))
+            if abs(before - after) <= tol:
                 break
             before = after
-        if not converged:
+        else:
             trace.flags.append(f"cyclic-cap[{k}]")
         t3 = time.perf_counter()
         trace.add_time("cyclic", t3 - t2)
@@ -250,7 +243,7 @@ def tl_nomp(
         # steering vectors, snapshot by snapshot
         for fi, lam in enumerate(wavelengths):
             _, residuals[fi], _ = project_out(steering_stack(W, array, L, lam), Y[fi])
-        trace.residual_norms.append(float(np.sqrt(_frob_sq(residuals))))
+        trace.residual_norms.append(float(np.sqrt(residual_energy(residuals))))
         trace.add_time("project", time.perf_counter() - t3)
 
     estimates = [SourceEstimate(w, tuple(amps[i])) for i, w in enumerate(W)]

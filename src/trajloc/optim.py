@@ -34,11 +34,9 @@ from .model import (
 ARMIJO = 1e-4
 BACKTRACK = 0.5
 MAX_HALVINGS = 60
-# An ascent or refine stops once its parameter step is shorter than this.
-STEP_TOL = 1e-10
+STEP_TOL = 1e-10  # an ascent or refine stops at a shorter parameter step
 LOCAL_MAX_ITERS = 100
-# |phi| limit of `Bounds.from_grid`, inside the steering model's valid range.
-PHI_LIMIT = 89.0
+PHI_LIMIT = 89.0  # |phi| bound of `Bounds.from_grid`, inside the model's range
 
 
 class NumericsWarning(RuntimeWarning):
@@ -95,6 +93,17 @@ def _phase_scale(array: ArrayConfig, wavelength: float) -> float:
     return 2.0 * np.pi * array.spacing / wavelength
 
 
+def _doa_map(model, L: int) -> np.ndarray:
+    """(D, L) matrix T of the snapshot DOAs theta = params @ T."""
+    return np.vstack([np.ones(L), trajectory_basis(model, L)])
+
+
+def _physical(T: np.ndarray):
+    """Test that every snapshot DOA of k concatenated parameter vectors lies
+    strictly inside (-90, 90) degrees."""
+    return lambda u: bool(np.all(np.abs(u.reshape(-1, len(T)) @ T) < 90.0))
+
+
 def _moments(theta_deg: np.ndarray, residual: np.ndarray, cf: float, orders: int):
     """Sensor-index moments m_k[l] = sum_n n^k conj(a_n(theta_l)) r_nl
     for k = 0..orders. Returns a list of length-L complex vectors."""
@@ -129,8 +138,7 @@ def objective_grad_hess(params: TrajectoryParams, residuals, array: ArrayConfig,
     """
     L = residuals[0].shape[1]
     theta = doas(params, L)
-    basis = trajectory_basis(params.model, L)
-    T = np.vstack([np.ones(L), basis])  # rows: d theta_l / d parameter
+    T = _doa_map(params.model, L)  # rows: d theta_l / d parameter
     cos_t = np.cos(theta * DEG)
     sin_t = np.sin(theta * DEG)
     D = T.shape[0]
@@ -234,9 +242,10 @@ def amplitudes_ls(trajectories, blocks, array: ArrayConfig):
     return out
 
 
-def _backtrack(value, u, d, g, base, bounds, maximize):
+def _backtrack(value, u, d, g, base, bounds, physical, maximize):
     """Projected Armijo backtracking along direction d. Returns (point, value)
-    with the guarantee value(point) is no worse than base."""
+    with the guarantee value(point) is no worse than base; a candidate that
+    fails ``physical`` is a failed step and is not evaluated."""
     t = 1.0
     sign = 1.0 if maximize else -1.0
     for _ in range(MAX_HALVINGS):
@@ -244,11 +253,12 @@ def _backtrack(value, u, d, g, base, bounds, maximize):
         step = cand - u
         if not np.any(step):
             break
-        vc = value(cand)
-        gain = float(g @ step)
-        ok = vc >= base + ARMIJO * max(gain, 0.0) if maximize else vc <= base + ARMIJO * min(gain, 0.0)
-        if ok and (sign * (vc - base) >= 0.0):
-            return cand, vc
+        if physical(cand):
+            vc = value(cand)
+            gain = float(g @ step)
+            ok = vc >= base + ARMIJO * max(gain, 0.0) if maximize else vc <= base + ARMIJO * min(gain, 0.0)
+            if ok and (sign * (vc - base) >= 0.0):
+                return cand, vc
         t *= BACKTRACK
     return u, base
 
@@ -264,12 +274,14 @@ def maximize_local(
 
     Takes safeguarded Newton steps whenever the Hessian is negative definite
     (so the quadratic model has a maximum), gradient-ascent steps otherwise,
-    with projected Armijo backtracking either way. Stops when the parameter
-    step drops below `STEP_TOL` or after `LOCAL_MAX_ITERS` iterations; the
-    returned objective is never below the starting one.
+    with projected Armijo backtracking either way; a step leaving (-90, 90)
+    degrees fails. Stops when the parameter step drops below `STEP_TOL` or
+    after `LOCAL_MAX_ITERS` iterations; the returned objective is never
+    below the starting one.
     """
     model = omega0.model
     u = bounds.clip(omega0.vector())
+    physical = _physical(_doa_map(model, residuals[0].shape[1]))
     value = lambda v: _objective_vec(model, v, residuals, array, wavelengths)
     J = value(u)
     step_norms = []
@@ -284,7 +296,7 @@ def maximize_local(
             d = np.linalg.solve(-H, g)
         except np.linalg.LinAlgError:
             d = g
-        u_new, J_new = _backtrack(value, u, d, g, J, bounds, maximize=True)
+        u_new, J_new = _backtrack(value, u, d, g, J, bounds, physical, maximize=True)
         step = float(np.linalg.norm(u_new - u))
         step_norms.append(step)
         u, J = u_new, J_new
@@ -306,12 +318,13 @@ def newton_step(
     """One safeguarded Newton step on the beam objective.
 
     The candidate ``omega - H^{-1} g`` (projected onto the bounds) is kept
-    only if the objective does not decrease; otherwise one backtracking
-    gradient-ascent step is taken instead. Returns the new parameters and
-    whether the Newton candidate was used.
+    only if it stays inside (-90, 90) degrees and the objective does not
+    decrease; otherwise one backtracking gradient-ascent step is taken
+    instead. Returns the new parameters and whether it was used.
     """
     model = omega.model
     u = bounds.clip(omega.vector())
+    physical = _physical(_doa_map(model, residuals[0].shape[1]))
     value = lambda v: _objective_vec(model, v, residuals, array, wavelengths)
     J0 = value(u)
     g, H = objective_grad_hess(
@@ -319,12 +332,12 @@ def newton_step(
     )
     try:
         cand = bounds.clip(u - np.linalg.solve(H, g))
-        if value(cand) >= J0:
+        if physical(cand) and value(cand) >= J0:
             return TrajectoryParams.from_vector(model, cand), True
     except np.linalg.LinAlgError:
         warnings.warn("singular Hessian; falling back to gradient step",
                       NumericsWarning, stacklevel=2)
-    u_new, _ = _backtrack(value, u, g, g, J0, bounds, maximize=True)
+    u_new, _ = _backtrack(value, u, g, g, J0, bounds, physical, maximize=True)
     return TrajectoryParams.from_vector(model, u_new), False
 
 
@@ -337,8 +350,9 @@ def model_residuals(trajectories, amplitudes, blocks, array, wavelengths):
     return [b.data - f for b, f in zip(blocks, fitted)], steering
 
 
-def _fit_error(residuals) -> float:
-    return 0.5 * sum(float(np.sum(np.abs(R) ** 2)) for R in residuals)
+def residual_energy(residuals) -> float:
+    """Squared Frobenius norm of a set of residual matrices, summed."""
+    return float(sum(np.sum(R.real**2 + R.imag**2) for R in residuals))
 
 
 def joint_refine(
@@ -378,8 +392,8 @@ def joint_refine(
     D = model.n_params
     L = blocks[0].snapshots
     wavelengths = block_wavelengths(array, blocks)
-    basis = trajectory_basis(model, L)
-    T = np.vstack([np.ones(L), basis])  # (D, L)
+    T = _doa_map(model, L)
+    physical = _physical(T)
     lows = np.tile(bounds.lows, k)
     highs = np.tile(bounds.highs, k)
     box = Bounds(tuple(lows), tuple(highs))
@@ -398,7 +412,7 @@ def joint_refine(
         X, R, bad = zip(*(project_out(A_f, block.data) for A_f, block in zip(A, blocks)))
         if any(bad):
             _warn_coincident()
-        last = (_fit_error(R), trajs, list(X), list(R), A)
+        last = (0.5 * residual_energy(R), trajs, list(X), list(R), A)
         return last[0]
 
     u = box.clip(np.concatenate([t.vector() for t in trajectories]))
@@ -432,7 +446,7 @@ def joint_refine(
             d = np.linalg.solve(H + mu * np.eye(k * D), -g)
         except np.linalg.LinAlgError:
             d = -g
-        u_new, _ = _backtrack(fit_error, u, d, g, E, box, maximize=False)
+        u_new, _ = _backtrack(fit_error, u, d, g, E, box, physical, maximize=False)
         step = float(np.linalg.norm(u_new - u))
         step_norms.append(step)
         if step < STEP_TOL:

@@ -454,6 +454,43 @@ class TestTlSblProperties:
         assert np.max(np.abs(g1 - mirrored)) <= 1e-9 * np.max(g0)
 
 
+def _grid_sets(seed, transform):
+    """(tl-cbf peaks, tl-omp estimates) of two separated off-grid linear
+    sources at 20 dB, each as a (from Y, from transform(Y)) pair of sets of
+    parameter vectors."""
+    rng = np.random.default_rng(seed)
+    sources = [
+        TrajectoryParams(LINEAR, rng.uniform(*phis), (rng.uniform(-4, 4),))
+        for phis in ((-70, -10), (10, 70))
+    ]
+    array = ArrayConfig(10)
+    blocks, _ = synthesize_block(sources, array, 30, 20.0, seed=seed)
+    Y = blocks[0].data
+    peaks, estimates = [], []
+    for data in (Y, transform(Y)):
+        b = [ObservationBlock(data, None, 30)]
+        peaks.append({tuple(p.vector()) for p in find_peaks(tl_cbf_spectrum(b, SYMMETRIC_GRID, array), 4).params})
+        estimates.append({tuple(e.params.vector()) for e in tl_omp(b, SYMMETRIC_GRID, array, 2)[0]})
+    return peaks, estimates
+
+
+class TestGridEstimatorProperties:
+    # the grid points returned are exact, so both properties hold exactly
+    @given(seed=st.integers(0, 2**16), psi=st.floats(0.0, 2 * np.pi))
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def test_global_phase_leaves_peaks_and_estimates_unchanged(self, seed, psi):
+        for plain, rotated in _grid_sets(seed, lambda Y: Y * np.exp(1j * psi)):
+            assert plain == rotated
+
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def test_conjugate_data_mirrors_peaks_and_estimates(self, seed):
+        # conj(a(theta)) = a(-theta): (phi, alpha) -> (-phi, -alpha) maps the
+        # symmetric grid onto itself
+        for plain, conjugated in _grid_sets(seed, np.conj):
+            assert {tuple(-v for v in p) for p in plain} == conjugated
+
+
 ESTIMATORS = {
     "tl-cbf": lambda blocks, grid, array: tl_cbf_spectrum(blocks, grid, array),
     "tl-sbl": lambda blocks, grid, array: tl_sbl(blocks, grid, array, 1, 1.0),

@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from trajloc.harness import (
 )
 
 LINEAR = TrajectoryModel.polynomial(1)
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 LIN_GRID = dict(grid_phi=(-85.0, 2.0, 85.0), grid_coeffs=((-5.0, 0.5, 5.0),))
 
 
@@ -257,6 +259,16 @@ base_seed: 3
         path.write_text("name: x\nmodel: bandlimited\norder: 1\n")
         with pytest.raises(ValueError, match="nu"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        cfg = load_config(str(path))
+        sweep_name, values = sweep_points(cfg)
+        for value in values:
+            cell = materialize(cfg, sweep_name, value)
+            assert len(cell.sources) == len(cfg.sources) > 0
+            for src in cell.sources:
+                assert src.model == cfg.model
 
     def test_overrides(self):
         cfg = small_config()
