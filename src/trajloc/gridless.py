@@ -51,9 +51,8 @@ from .optim import (
 )
 
 
-# TL-NOMP's cyclic sweeps stop once one changes the residual energy by at
-# most CYCLIC_RTOL times the data energy, a test free of the data's scale,
-# or after MAX_CYCLES sweeps.
+# TL-NOMP's cyclic sweeps stop once one changes the residual energy by at most
+# CYCLIC_RTOL times the data energy (free of the data's scale), or MAX_CYCLES.
 CYCLIC_RTOL = 1e-9
 MAX_CYCLES = 50
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,15 +94,17 @@ def _phase_scale(array: ArrayConfig, wavelength: float) -> float:
     return 2.0 * np.pi * array.spacing / wavelength
 
 
+@lru_cache(maxsize=8)
 def _doa_map(model, L: int) -> np.ndarray:
-    """(D, L) matrix T of the snapshot DOAs theta = params @ T."""
-    return np.vstack([np.ones(L), trajectory_basis(model, L)])
+    """Read-only (D, L) matrix T of the snapshot DOAs theta = params @ T."""
+    T = np.vstack([np.ones(L), trajectory_basis(model, L)])
+    T.setflags(write=False)
+    return T
 
 
 def _physical(T: np.ndarray):
-    """Test that every snapshot DOA of k concatenated parameter vectors lies
-    strictly inside (-90, 90) degrees."""
-    return lambda u: bool(np.all(np.abs(u.reshape(-1, len(T)) @ T) < 90.0))
+    """Test that k concatenated parameter vectors stay inside (-90, 90)."""
+    return lambda u: np.abs(u.reshape(-1, len(T)) @ T).max() < 90.0
 
 
 def _moments(theta_deg: np.ndarray, residual: np.ndarray, cf: float, orders: int):

@@ -23,7 +23,7 @@ from trajloc import (
 )
 from trajloc import gridless
 from trajloc.grids import grid_index
-from trajloc.gridalgos import Spectrum, find_peaks, grid_beam_power
+from trajloc.gridalgos import grid_beam_power
 from trajloc.harness import builtin_experiment, materialize
 from trajloc.model import block_wavelengths, trajectory_in_bounds, wavelength_for
 from trajloc.optim import model_residuals, project_out, steering_stack
