@@ -379,9 +379,9 @@ def joint_refine(
     The model then differs from the Hessian of the fit error only by terms
     that vanish with the residual, so the iteration converges quadratically
     on noiseless data (`STEP_TOL` in a handful of steps) and fast where
-    the residual is small. Steps are safeguarded by
-    projected Armijo backtracking; the returned fit error never exceeds the
-    starting one.
+    the residual is small. Steps are safeguarded by projected Armijo
+    backtracking, which fails a step leaving (-90, 90) degrees; the returned
+    fit error never exceeds the starting one.
 
     Returns (trajectories, per-frequency amplitude arrays, OptimReport).
     """
