@@ -13,11 +13,21 @@ blocking changes no element's arithmetic: spectra are bit-identical to a
 whole-table pass. The same kernel scans a subset of rows, bit-identical at
 each row to the full scan, and it zeroes the grid points whose trajectory
 leaves (-90, 90) degrees.
+
+A scan of at least two blocks splits its rows into one contiguous share per
+CPU the process may run on (`os.sched_getaffinity`), each scanned by its own
+thread; numpy releases the interpreter lock inside the block operations. No
+row's arithmetic depends on the split, so results are the same whatever the
+number of CPUs. These threads are not BLAS threads: pinning BLAS to one
+thread does not govern them. They start and finish within one scan, so no
+thread is alive when the harness forks its worker processes.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,44 +109,29 @@ def _scan_rows(L: int) -> int:
     return max(1, _SCAN_BLOCK_BYTES // (16 * L))
 
 
-def grid_beam_power(
-    residuals, grid: ParamGrid, array: ArrayConfig, wavelengths, rows=None
-) -> np.ndarray:
-    """Beam power (1/L) sum_f sum_l |a_lf^H r_lf|^2 at every grid point, or
-    at the grid points ``rows`` (strictly increasing linear indices) only.
+def _scan_workers(M: int, step: int) -> int:
+    """Threads for a scan of M rows in blocks of ``step``: one per CPU this
+    process may run on, but never so many that a share is under one full
+    block (a scan of fewer than two blocks stays serial, where starting a
+    thread costs more than it saves)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, M // step))
 
-    Horner recursion over the sensor index against the cached per-grid phasor
-    table, so a scan costs N complex multiplies of an (M, L) array per
-    frequency. The recursion runs over blocks of `_scan_rows` grid rows: the
-    conjugated phasors and the accumulator of one block stay in cache through
-    the whole recursion, where a whole-table pass would stream the (M, L)
-    arrays from memory once per sensor. A sub-scan gathers its table rows
-    into the same block. Every element sees the same arithmetic in the same
-    order as in a whole-table pass, so the values depend neither on the block
-    size nor on which other rows are scanned.
 
-    Grid trajectories that leave (-90, 90) degrees (`nonphysical_mask`) get
-    power 0, so no peak search or argmax can return them.
-    """
+def _scan_share(residuals, tables, rows, lo, hi, step, values):
+    """Beam power of rows lo:hi of the scan, summed into ``values[lo:hi]``:
+    the sensor recursion block by block, every frequency in order, in this
+    share's own scratch."""
     L = residuals[0].shape[1]
-    mask = nonphysical_mask(grid, L)
-    if rows is not None:
-        rows = np.asarray(rows)
-        if rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer):
-            raise ValueError("rows must be a 1-D array of grid indices")
-        if rows.size and (rows[0] < 0 or rows[-1] >= grid.size or np.any(np.diff(rows) <= 0)):
-            raise ValueError(f"rows must be strictly increasing indices in [0, {grid.size})")
-        mask = mask[rows]
-    M = mask.size
-    step = max(1, min(M, _scan_rows(L)))
-    conj_block = np.empty((step, L), dtype=complex)
-    acc_block = np.empty((step, L), dtype=complex)
-    values = np.zeros(M)
-    for R, lam in zip(residuals, wavelengths):
-        table = phase_table(grid, L, _phase_scale(array, lam))  # (M, L)
+    conj_block = np.empty((min(step, hi - lo), L), dtype=complex)
+    acc_block = np.empty_like(conj_block)
+    for R, table in zip(residuals, tables):
         N = R.shape[0]
-        for s in range(0, M, step):
-            e = min(s + step, M)
+        for s in range(lo, hi, step):
+            e = min(s + step, hi)
             if rows is None:
                 E = np.conjugate(table[s:e], out=conj_block[: e - s])
             else:
@@ -154,6 +149,55 @@ def grid_beam_power(
             np.square(im, out=im)
             re += im
             values[s:e] += re.sum(axis=1)
+
+
+def grid_beam_power(
+    residuals, grid: ParamGrid, array: ArrayConfig, wavelengths, rows=None
+) -> np.ndarray:
+    """Beam power (1/L) sum_f sum_l |a_lf^H r_lf|^2 at every grid point, or
+    at the grid points ``rows`` (strictly increasing linear indices) only.
+
+    Horner recursion over the sensor index against the cached per-grid phasor
+    table, so a scan costs N complex multiplies of an (M, L) array per
+    frequency. The recursion runs over blocks of `_scan_rows` grid rows: the
+    conjugated phasors and the accumulator of one block stay in cache through
+    the whole recursion, where a whole-table pass would stream the (M, L)
+    arrays from memory once per sensor. A sub-scan gathers its table rows
+    into the same block. Every element sees the same arithmetic in the same
+    order as in a whole-table pass, so the values depend neither on the block
+    size nor on which other rows are scanned.
+
+    The rows are split into contiguous equal shares, one per thread
+    (`_scan_workers`), and every thread is joined before the call returns.
+
+    Grid trajectories that leave (-90, 90) degrees (`nonphysical_mask`) get
+    power 0, so no peak search or argmax can return them.
+    """
+    L = residuals[0].shape[1]
+    mask = nonphysical_mask(grid, L)
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError("rows must be a 1-D array of grid indices")
+        if rows.size and (rows[0] < 0 or rows[-1] >= grid.size or np.any(np.diff(rows) <= 0)):
+            raise ValueError(f"rows must be strictly increasing indices in [0, {grid.size})")
+        mask = mask[rows]
+    M = mask.size
+    step = max(1, min(M, _scan_rows(L)))
+    tables = [phase_table(grid, L, _phase_scale(array, lam)) for lam in wavelengths]  # (M, L) each
+    values = np.zeros(M)
+    workers = _scan_workers(M, step)
+    bounds = [M * i // workers for i in range(workers + 1)]
+    shares = list(zip(bounds[:-1], bounds[1:]))
+    # the calling thread scans the first share; a serial scan starts no thread
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        futures = [
+            pool.submit(_scan_share, residuals, tables, rows, lo, hi, step, values)
+            for lo, hi in shares[1:]
+        ]
+        _scan_share(residuals, tables, rows, *shares[0], step, values)
+        for f in futures:
+            f.result()
     values[mask] = 0.0
     return values / L
 

@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 import warnings
 
@@ -25,6 +27,7 @@ from trajloc import (
     tl_sfw,
     trajectory_rmse,
 )
+from trajloc import gridalgos
 from trajloc.gridalgos import _scan_rows, grid_beam_power
 from trajloc.grids import coarse_lattice, nonphysical_mask, phase_table
 from trajloc.model import (
@@ -203,6 +206,91 @@ class TestGridBeamPower:
         (omp,), _ = tl_omp(blocks, linear_grid, array, 1)
         assert physical(omp.params)
         assert peaks.params[0] == omp.params == grid_point(linear_grid, corner - 1)
+
+
+def random_residuals(seed, count):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((10, 30)) + 1j * rng.standard_normal((10, 30)) for _ in range(count)]
+
+
+class TestParallelScan:
+    """grid_beam_power with the process's CPU set patched to 1, 2 and 3 CPUs."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+        return request.param
+
+    @staticmethod
+    def scan_threads(monkeypatch):
+        """Record the thread of every share grid_beam_power scans."""
+        seen = set()
+        real = gridalgos._scan_share
+
+        def recording(*args):
+            seen.add(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(gridalgos, "_scan_share", recording)
+        return seen
+
+    @pytest.mark.parametrize("M", [2 * ROWS + 1, 3 * ROWS + 2, 4 * ROWS + 1])
+    def test_full_scan_matches_whole_table_scan(self, cpus, monkeypatch, M):
+        grid = grid_of_size(M)
+        array = ArrayConfig.for_frequencies(10, WIDEBAND)
+        wavelengths = tuple(wavelength_for(array, f) for f in WIDEBAND)
+        residuals = random_residuals(M, len(WIDEBAND))
+        threads = self.scan_threads(monkeypatch)
+        values = grid_beam_power(residuals, grid, array, wavelengths)
+        assert len(threads) == min(cpus, M // ROWS)
+        assert np.array_equal(values, reference_beam_power(residuals, grid, array, wavelengths))
+
+    @pytest.mark.parametrize(
+        "M, pick",
+        [
+            (5 * ROWS + 3, lambda M: np.arange(1, M, 2)),  # 2.5 blocks
+            (4 * ROWS, lambda M: np.flatnonzero(np.arange(M) % 7)),  # 3.4 blocks
+        ],
+    )
+    def test_sub_scan_matches_whole_table_scan(self, cpus, monkeypatch, M, pick):
+        grid = grid_of_size(M)
+        array = ArrayConfig.for_frequencies(10, WIDEBAND)
+        wavelengths = tuple(wavelength_for(array, f) for f in WIDEBAND)
+        residuals = random_residuals(M, len(WIDEBAND))
+        idx = pick(M)
+        threads = self.scan_threads(monkeypatch)
+        values = grid_beam_power(residuals, grid, array, wavelengths, rows=idx)
+        assert len(threads) == min(cpus, idx.size // ROWS)
+        assert np.array_equal(values, reference_beam_power(residuals, grid, array, wavelengths)[idx])
+
+    def test_no_thread_outlives_a_scan(self, cpus):
+        grid = grid_of_size(3 * ROWS)
+        array = ArrayConfig(10)
+        lams = (wavelength_for(array, None),)
+        before = threading.active_count()
+        grid_beam_power(random_residuals(0, 1), grid, array, lams)
+        grid_beam_power(random_residuals(1, 1), grid, array, lams, rows=np.arange(0, 3 * ROWS, 3))
+        assert threading.active_count() == before
+
+    def test_worker_exception_reaches_caller(self, cpus, monkeypatch):
+        real = gridalgos._scan_share
+
+        def failing(residuals, tables, rows, lo, hi, step, values):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError(f"share {lo}:{hi} failed")
+            return real(residuals, tables, rows, lo, hi, step, values)
+
+        monkeypatch.setattr(gridalgos, "_scan_share", failing)
+        grid = grid_of_size(3 * ROWS)
+        array = ArrayConfig(10)
+        before = threading.active_count()
+        scan = lambda: grid_beam_power(random_residuals(2, 1), grid, array, (wavelength_for(array, None),))
+        if cpus == 1:
+            scan()  # serial: the calling thread scans every row
+        else:
+            with pytest.raises(RuntimeError, match="failed"):
+                scan()
+        assert threading.active_count() == before
 
 
 class TestCbfSpectrum:
