@@ -126,8 +126,8 @@ def tl_sfw(
     (ii) joint variable-projection refinement of every trajectory found so
     far, which eliminates the amplitudes at their exact least-squares
     optimum at every point it evaluates, so there is no separate amplitude
-    step. The residual is recomputed from the raw blocks after each
-    iteration.
+    step. The residual carried to the next source is the fit residual at
+    the refined trajectories, as the refine returns it.
 
     Returns (list of K SourceEstimate, RunTrace).
     """
@@ -154,12 +154,11 @@ def tl_sfw(
         t2 = time.perf_counter()
         trace.add_time("local", t2 - t1)
 
-        W, X, report = joint_refine(W, blocks, array, bounds)  # X: per-frequency (k, L)
+        # X: per-frequency (k, L); residuals: the fit residual at W
+        W, X, report, residuals = joint_refine(W, blocks, array, bounds)
         trace.refinements += report.iterations
         trace.fit_history.append((f"joint[{k}]", report.final_objective))
         trace.add_time("joint", time.perf_counter() - t2)
-
-        residuals, _ = model_residuals(W, X, blocks, array, wavelengths)
         trace.residual_norms.append(float(np.sqrt(residual_energy(residuals))))
 
     estimates = [

@@ -248,13 +248,15 @@ def amplitudes_ls(trajectories, blocks, array: ArrayConfig):
 def _backtrack(value, u, d, g, base, bounds, physical, maximize):
     """Projected Armijo backtracking along direction d. Returns (point, value)
     with the guarantee value(point) is no worse than base; a candidate that
-    fails ``physical`` is a failed step and is not evaluated."""
+    fails ``physical`` is a failed step and is not evaluated. The search
+    gives up, returning (u, base), once the clipped step is shorter than
+    `STEP_TOL`, which every caller counts as converged."""
     t = 1.0
     sign = 1.0 if maximize else -1.0
     for _ in range(MAX_HALVINGS):
         cand = bounds.clip(u + t * d)
         step = cand - u
-        if not np.any(step):
+        if np.linalg.norm(step) < STEP_TOL:
             break
         if physical(cand):
             vc = value(cand)
@@ -383,7 +385,9 @@ def joint_refine(
     backtracking, which fails a step leaving (-90, 90) degrees; the returned
     fit error never exceeds the starting one.
 
-    Returns (trajectories, per-frequency amplitude arrays, OptimReport).
+    Returns (trajectories, per-frequency amplitude arrays, OptimReport,
+    per-frequency residual matrices): the residuals are the data projected
+    away from the returned trajectories, as the refine last evaluated them.
     """
     trajectories = list(trajectories)
     if not trajectories:
@@ -462,4 +466,4 @@ def joint_refine(
         E, trajs, X, R, A = last
         objectives.append(E)
     report = OptimReport(len(step_norms), converged, E, tuple(step_norms), tuple(objectives))
-    return trajs, X, report
+    return trajs, X, report, R

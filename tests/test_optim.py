@@ -15,7 +15,7 @@ from trajloc import (
     tl_cbf_spectrum,
 )
 from trajloc.model import block_wavelengths, trajectory_steering_matrix, wavelength_for
-from trajloc.optim import model_residuals
+from trajloc.optim import BACKTRACK, STEP_TOL, _backtrack, model_residuals
 from trajloc import grid_point
 from conftest import random_params
 
@@ -252,6 +252,26 @@ class TestNewtonStep:
             assert j1 >= j0 - 1e-12 * abs(j0)
 
 
+class TestBacktrack:
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_failing_search_stops_at_step_tol(self, maximize):
+        # every candidate is worse than the start: the search halves down to
+        # STEP_TOL, never evaluates a shorter step, and returns the start
+        u = np.array([10.0, 1.0])
+        d = np.array([3.0, -0.5])
+        evaluated = []
+
+        def value(v):
+            evaluated.append(v.copy())
+            return -1.0 if maximize else 1.0
+
+        bounds = Bounds((-89.0, -6.0), (89.0, 6.0))
+        point, val = _backtrack(value, u, d, d, 0.0, bounds, lambda v: True, maximize)
+        assert np.array_equal(point, u) and val == 0.0
+        lengths = [np.linalg.norm(v - u) for v in evaluated]
+        assert min(lengths) >= STEP_TOL > min(lengths) * BACKTRACK
+
+
 class TestJointRefine:
     def bounds(self):
         return Bounds((-89.0, -6.0), (89.0, 6.0))
@@ -259,7 +279,7 @@ class TestJointRefine:
     def test_already_optimal_unchanged(self, array):
         src = TrajectoryParams(LINEAR, 20.7, (1.73,))
         blocks, _ = synthesize_block([src], array, 30, None, seed=10)
-        W, X, report = joint_refine([src], blocks, array, self.bounds())
+        W, X, report, _ = joint_refine([src], blocks, array, self.bounds())
         np.testing.assert_allclose(W[0].vector(), src.vector(), atol=1e-8)
         assert report.final_objective < 1e-16
 
@@ -268,7 +288,7 @@ class TestJointRefine:
         s2 = TrajectoryParams(LINEAR, -40.4, (-2.6,))
         blocks, _ = synthesize_block([s1, s2], array, 30, None, seed=11)
         start = [TrajectoryParams(LINEAR, 21.0, (1.5,)), TrajectoryParams(LINEAR, -41.0, (-2.5,))]
-        W, X, report = joint_refine(start, blocks, array, self.bounds())
+        W, X, report, _ = joint_refine(start, blocks, array, self.bounds())
         np.testing.assert_allclose(W[0].vector(), s1.vector(), atol=1e-3)
         np.testing.assert_allclose(W[1].vector(), s2.vector(), atol=1e-3)
         assert report.final_objective < 1e-10
@@ -281,7 +301,7 @@ class TestJointRefine:
         s2 = TrajectoryParams(LINEAR, -40.4, (-2.6,))
         blocks, _ = synthesize_block([s1, s2], array, 30, None, seed=11)
         start = [TrajectoryParams(LINEAR, 21.0, (1.5,)), TrajectoryParams(LINEAR, -41.0, (-2.5,))]
-        _, _, report = joint_refine(start, blocks, array, self.bounds())
+        _, _, report, _ = joint_refine(start, blocks, array, self.bounds())
         assert report.converged and report.iterations <= 6
         steps = [s for s in report.step_norms if s > 1e-12]
         assert all(b <= 10 * a**2 for a, b in zip(steps, steps[1:]))
@@ -303,7 +323,7 @@ class TestJointRefine:
                 TrajectoryParams(LINEAR, s.phi + rng.uniform(-1, 1), (s.coeffs[0] + rng.uniform(-0.4, 0.4),))
                 for s in (s1, s2)
             ]
-            W, X, report = joint_refine(start, blocks, array, self.bounds())
+            W, X, report, _ = joint_refine(start, blocks, array, self.bounds())
             assert report.final_objective <= fit_at(start) + 1e-9
 
     def test_coincident_start_warns(self, array):
@@ -339,15 +359,32 @@ class TestJointRefine:
 
         counted("batched_snapshot_ls")
         counted("trajectory_steering_matrix")
-        _, _, report = joint_refine(start, blocks, array, self.bounds(), max_iters=1)
+        _, _, report, _ = joint_refine(start, blocks, array, self.bounds(), max_iters=1)
         F, k = len(freqs), len(start)
         assert report.iterations == 1 and report.step_norms[0] > 0
         assert calls == {"batched_snapshot_ls": 3 * F, "trajectory_steering_matrix": 2 * k * F}
+
+    @pytest.mark.parametrize("max_iters", [0, 100])
+    def test_returned_residuals_match_rebuilt_residuals(self, max_iters):
+        from trajloc import ArrayConfig
+
+        freqs = (1400.0, 1600.0, 1800.0)
+        array = ArrayConfig.for_frequencies(10, freqs)
+        s1 = TrajectoryParams(LINEAR, 20.7, (1.73,))
+        s2 = TrajectoryParams(LINEAR, -40.4, (-2.6,))
+        blocks, _ = synthesize_block([s1, s2], array, 30, 5.0, freqs, seed=15)
+        start = [TrajectoryParams(LINEAR, 21.0, (1.5,)), TrajectoryParams(LINEAR, -41.0, (-2.5,))]
+        W, X, report, R = joint_refine(start, blocks, array, self.bounds(), max_iters=max_iters)
+        rebuilt, _ = model_residuals(W, X, blocks, array, block_wavelengths(array, blocks))
+        assert len(R) == len(freqs)
+        for R_f, rebuilt_f in zip(R, rebuilt):
+            assert np.array_equal(R_f, rebuilt_f)
+        assert report.final_objective == 0.5 * sum(np.sum(r.real**2 + r.imag**2) for r in R)
 
     def test_zero_iterations_amplitudes_match_direct_solve(self, array):
         s1 = TrajectoryParams(LINEAR, 20.0, (1.5,))
         s2 = TrajectoryParams(LINEAR, -40.0, (-2.5,))
         blocks, _ = synthesize_block([s1, s2], array, 30, 5.0, seed=14)
-        W, X, _ = joint_refine([s1, s2], blocks, array, self.bounds(), max_iters=0)
+        W, X, _, _ = joint_refine([s1, s2], blocks, array, self.bounds(), max_iters=0)
         direct = amplitudes_ls([s1, s2], blocks, array)
         np.testing.assert_array_equal(X[0], direct[0])
