@@ -37,6 +37,7 @@ from trajloc.model import (
     wavelength_for,
 )
 from trajloc.optim import _phase_scale
+from conftest import source_order_pair
 
 LINEAR = TrajectoryModel.polynomial(1)
 
@@ -541,6 +542,17 @@ class TestTlSblProperties:
         mirrored = g0.reshape(SYMMETRIC_GRID.shape)[::-1, ::-1].reshape(-1)
         assert np.max(np.abs(g1 - mirrored)) <= 1e-9 * np.max(g0)
 
+    @given(seed=st.integers(0, 2**16), order=st.permutations(range(3)))
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    def test_permuted_sources_leave_gamma_unchanged(self, seed, order):
+        noise_variance, datas = source_order_pair(seed, order, snr_db=10.0)
+        g0, g1 = [
+            quiet_sbl([ObservationBlock(data, None, 30)], SYMMETRIC_GRID, ArrayConfig(10), 3,
+                      noise_variance, max_iters=4)[0].values
+            for data in datas
+        ]
+        assert np.max(np.abs(g1 - g0)) <= 1e-9 * np.max(g0)
+
 
 def _grid_sets(seed, transform):
     """(tl-cbf peaks, tl-omp estimates) of two separated off-grid linear
@@ -551,14 +563,20 @@ def _grid_sets(seed, transform):
         TrajectoryParams(LINEAR, rng.uniform(*phis), (rng.uniform(-4, 4),))
         for phis in ((-70, -10), (10, 70))
     ]
-    array = ArrayConfig(10)
-    blocks, _ = synthesize_block(sources, array, 30, 20.0, seed=seed)
+    blocks, _ = synthesize_block(sources, ArrayConfig(10), 30, 20.0, seed=seed)
     Y = blocks[0].data
+    return _grid_sets_of((Y, transform(Y)), 2)
+
+
+def _grid_sets_of(datas, K):
+    """(tl-cbf's K + 2 peaks, tl-omp's K estimates) from each data matrix of
+    a 10-sensor array, as sets of parameter vectors."""
+    array = ArrayConfig(10)
     peaks, estimates = [], []
-    for data in (Y, transform(Y)):
+    for data in datas:
         b = [ObservationBlock(data, None, 30)]
-        peaks.append({tuple(p.vector()) for p in find_peaks(tl_cbf_spectrum(b, SYMMETRIC_GRID, array), 4).params})
-        estimates.append({tuple(e.params.vector()) for e in tl_omp(b, SYMMETRIC_GRID, array, 2)[0]})
+        peaks.append({tuple(p.vector()) for p in find_peaks(tl_cbf_spectrum(b, SYMMETRIC_GRID, array), K + 2).params})
+        estimates.append({tuple(e.params.vector()) for e in tl_omp(b, SYMMETRIC_GRID, array, K)[0]})
     return peaks, estimates
 
 
@@ -577,6 +595,13 @@ class TestGridEstimatorProperties:
         # symmetric grid onto itself
         for plain, conjugated in _grid_sets(seed, np.conj):
             assert {tuple(-v for v in p) for p in plain} == conjugated
+
+    @given(seed=st.integers(0, 2**16), order=st.permutations(range(3)))
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def test_permuted_sources_leave_peaks_and_estimates_unchanged(self, seed, order):
+        _, datas = source_order_pair(seed, order)
+        for plain, permuted in _grid_sets_of(datas, 3):
+            assert plain == permuted
 
 
 ESTIMATORS = {

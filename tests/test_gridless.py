@@ -27,6 +27,7 @@ from trajloc.gridalgos import grid_beam_power
 from trajloc.harness import builtin_experiment, materialize
 from trajloc.model import block_wavelengths, trajectory_in_bounds, wavelength_for
 from trajloc.optim import model_residuals, project_out, steering_stack
+from conftest import source_order_pair
 
 LINEAR = TrajectoryModel.polynomial(1)
 
@@ -268,6 +269,17 @@ class TestGridlessProperties:
     def test_scaled_data_leaves_estimates_unchanged(self, seed, scale):
         for plain, scaled in _gridless_pairs(seed, lambda Y: Y * scale):
             assert matched_rmse(plain, scaled, 30) < 1e-6
+
+    @given(seed=st.integers(0, 2**16), order=st.permutations(range(3)))
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    def test_permuted_sources_leave_estimates_unchanged(self, seed, order):
+        _, datas = source_order_pair(seed, order)
+        for estimator in (tl_sfw, tl_nomp):
+            plain, permuted = [
+                estimator([ObservationBlock(data, None, 30)], SYMMETRIC_GRID, ArrayConfig(10), 3)[0]
+                for data in datas
+            ]
+            assert matched_rmse(plain, permuted, 30) < 1e-6
 
     @pytest.mark.xfail(
         strict=True,
