@@ -187,8 +187,8 @@ def grid_beam_power(
     tables = [phase_table(grid, L, _phase_scale(array, lam)) for lam in wavelengths]  # (M, L) each
     values = np.zeros(M)
     workers = _scan_workers(M, step)
-    bounds = [M * i // workers for i in range(workers + 1)]
-    shares = list(zip(bounds[:-1], bounds[1:]))
+    edges = [M * i // workers for i in range(workers + 1)]
+    shares = list(zip(edges[:-1], edges[1:]))
     # the calling thread scans the first share; a serial scan starts no thread
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
         futures = [

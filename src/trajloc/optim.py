@@ -387,7 +387,7 @@ def joint_refine(
 
     Returns (trajectories, per-frequency amplitude arrays, OptimReport,
     per-frequency residual matrices): the residuals are the data projected
-    away from the returned trajectories, as the refine last evaluated them.
+    away from the returned trajectories, as the refine evaluated them there.
     """
     trajectories = list(trajectories)
     if not trajectories:

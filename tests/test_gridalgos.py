@@ -223,45 +223,42 @@ class TestParallelScan:
         return request.param
 
     @staticmethod
-    def scan_threads(monkeypatch):
-        """Record the thread of every share grid_beam_power scans."""
-        seen = set()
+    def scan_shares(monkeypatch):
+        """Record the (lo, hi) row range of every share grid_beam_power scans."""
+        seen = []
         real = gridalgos._scan_share
 
-        def recording(*args):
-            seen.add(threading.get_ident())
-            return real(*args)
+        def recording(residuals, tables, rows, lo, hi, step, values):
+            seen.append((lo, hi))
+            return real(residuals, tables, rows, lo, hi, step, values)
 
         monkeypatch.setattr(gridalgos, "_scan_share", recording)
         return seen
 
-    @pytest.mark.parametrize("M", [2 * ROWS + 1, 3 * ROWS + 2, 4 * ROWS + 1])
-    def test_full_scan_matches_whole_table_scan(self, cpus, monkeypatch, M):
-        grid = grid_of_size(M)
-        array = ArrayConfig.for_frequencies(10, WIDEBAND)
-        wavelengths = tuple(wavelength_for(array, f) for f in WIDEBAND)
-        residuals = random_residuals(M, len(WIDEBAND))
-        threads = self.scan_threads(monkeypatch)
-        values = grid_beam_power(residuals, grid, array, wavelengths)
-        assert len(threads) == min(cpus, M // ROWS)
-        assert np.array_equal(values, reference_beam_power(residuals, grid, array, wavelengths))
-
     @pytest.mark.parametrize(
         "M, pick",
         [
-            (5 * ROWS + 3, lambda M: np.arange(1, M, 2)),  # 2.5 blocks
+            (2 * ROWS + 1, None),  # full scans
+            (3 * ROWS + 2, None),
+            (4 * ROWS + 1, None),
+            (5 * ROWS + 3, lambda M: np.arange(1, M, 2)),  # 2.5 blocks of rows
             (4 * ROWS, lambda M: np.flatnonzero(np.arange(M) % 7)),  # 3.4 blocks
         ],
     )
-    def test_sub_scan_matches_whole_table_scan(self, cpus, monkeypatch, M, pick):
+    def test_matches_whole_table_scan(self, cpus, monkeypatch, M, pick):
         grid = grid_of_size(M)
         array = ArrayConfig.for_frequencies(10, WIDEBAND)
         wavelengths = tuple(wavelength_for(array, f) for f in WIDEBAND)
         residuals = random_residuals(M, len(WIDEBAND))
-        idx = pick(M)
-        threads = self.scan_threads(monkeypatch)
-        values = grid_beam_power(residuals, grid, array, wavelengths, rows=idx)
-        assert len(threads) == min(cpus, idx.size // ROWS)
+        rows = None if pick is None else pick(M)
+        idx = np.arange(M) if rows is None else rows
+        shares = self.scan_shares(monkeypatch)
+        values = grid_beam_power(residuals, grid, array, wavelengths, rows=rows)
+        # one contiguous share per CPU, none under a full block
+        edges = [lo for lo, _ in sorted(shares)] + [idx.size]
+        assert len(shares) == min(cpus, idx.size // ROWS)
+        assert [hi for _, hi in sorted(shares)] == edges[1:] and edges[0] == 0
+        assert min(np.diff(edges)) >= ROWS
         assert np.array_equal(values, reference_beam_power(residuals, grid, array, wavelengths)[idx])
 
     def test_no_thread_outlives_a_scan(self, cpus):
