@@ -43,7 +43,7 @@ def main():
     print("\nestimates:")
     for name, estimate in harness.ESTIMATORS.items():
         t0 = time.perf_counter()
-        params, _ = estimate(blocks, cell, config)
+        params, _ = estimate(blocks, cell)
         elapsed = time.perf_counter() - t0
         asn = tl.ospa_assign(truth, params, L=cell.snapshots)
         pd, rmse = tl.detection_stats(asn)

@@ -62,10 +62,11 @@ def _overridden(config, args):
 
 def cmd_synth(args) -> int:
     config = harness.load_config(args.config)
-    if isinstance(config.snr_db, tuple) or isinstance(config.snapshots, tuple) or config.sweep:
+    sweep_name, values = harness.sweep_points(config)
+    if len(values) != 1:
         raise SystemExit("synth needs a single-point scenario (no sweep axes)")
     seed = config.base_seed if args.seed is None else args.seed
-    cell = harness.materialize(config, "snr_db", config.snr_db)
+    cell = harness.materialize(config, sweep_name, values[0])
     blocks, truth = synthesize_block(
         cell.sources, cell.array, cell.snapshots, cell.snr_db, cell.frequencies, seed
     )

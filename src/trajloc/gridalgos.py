@@ -98,6 +98,7 @@ def _check_blocks(blocks, array: ArrayConfig) -> tuple[int, int]:
 
 
 SBL_TOL = 1e-3  # TL-SBL's stop: largest gamma change / largest gamma
+PEAK_EXCESS = 2  # spectrum methods report K + PEAK_EXCESS peaks for K sources
 
 # Bytes of one (rows, L) complex block of the scan: two of them (phasors and
 # accumulator) stay resident in a 2 MB per-core L2 cache.
@@ -286,7 +287,6 @@ def tl_sbl(
     array: ArrayConfig,
     K: int,
     noise_variance: float,
-    peak_excess: int = 2,
     max_iters: int = 500,
 ):
     """Sparse-Bayesian-learning spectrum over the trajectory grid (narrowband).
@@ -300,7 +300,7 @@ def tl_sbl(
     a_lm^H, starting from gamma = 1, until the largest gamma change relative
     to the largest gamma drops below `SBL_TOL` or ``max_iters`` is reached
     (non-convergence warns, never raises). Returns the final gamma vector as
-    a Spectrum together with its K + peak_excess strongest peaks.
+    a Spectrum together with its K + `PEAK_EXCESS` strongest peaks.
 
     The array is a uniform line, so a_lm[n] = E_ml**n with |E_ml| = 1, and
     every quantity of the update depends on a sensor pair (n, k) only through
@@ -360,4 +360,4 @@ def tl_sbl(
             stacklevel=2,
         )
     spectrum = Spectrum(grid, gamma)
-    return spectrum, find_peaks(spectrum, K + peak_excess)
+    return spectrum, find_peaks(spectrum, K + PEAK_EXCESS)

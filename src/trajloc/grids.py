@@ -85,16 +85,12 @@ def grid_index(grid: ParamGrid, multi) -> int:
 
 
 @lru_cache(maxsize=8)
-def _param_matrix(grid: ParamGrid) -> np.ndarray:
+def param_matrix(grid: ParamGrid) -> np.ndarray:
+    """All grid points as an (M, n_params) matrix in linear-index order."""
     cols = np.meshgrid(*(ax.values() for ax in grid.axes), indexing="ij")
     mat = np.stack([c.reshape(-1) for c in cols], axis=1)
     mat.setflags(write=False)
     return mat
-
-
-def param_matrix(grid: ParamGrid) -> np.ndarray:
-    """All grid points as an (M, n_params) matrix in linear-index order."""
-    return _param_matrix(grid)
 
 
 @lru_cache(maxsize=8)

@@ -21,10 +21,10 @@ import yaml
 
 import numpy as np
 
-from .gridalgos import find_peaks, tl_cbf_spectrum, tl_omp, tl_sbl
+from .gridalgos import PEAK_EXCESS, find_peaks, tl_cbf_spectrum, tl_omp, tl_sbl
 from .gridless import tl_nomp, tl_sfw
 from .grids import ParamGrid, build_grid
-from .metrics import ospa_assign
+from .metrics import DETECTION_THRESHOLD, OSPA_C, ospa_assign
 from .model import (
     BANDLIMITED,
     POLYNOMIAL,
@@ -40,35 +40,33 @@ def _peak_estimates(peaks):
     return peaks.params, ["peak-shortfall"] if peaks.shortfall else []
 
 
-def _run_cbf(blocks, cell, config):
+def _run_cbf(blocks, cell):
     spectrum = tl_cbf_spectrum(blocks, cell.grid, cell.array)
-    return _peak_estimates(find_peaks(spectrum, len(cell.sources) + config.peak_excess))
+    return _peak_estimates(find_peaks(spectrum, len(cell.sources) + PEAK_EXCESS))
 
 
-def _run_sbl(blocks, cell, config):
+def _run_sbl(blocks, cell):
     noise_variance = 10.0 ** (-cell.snr_db / 10.0)
-    _, peaks = tl_sbl(
-        blocks, cell.grid, cell.array, len(cell.sources), noise_variance, config.peak_excess
-    )
+    _, peaks = tl_sbl(blocks, cell.grid, cell.array, len(cell.sources), noise_variance)
     return _peak_estimates(peaks)
 
 
-def _run_omp(blocks, cell, config):
+def _run_omp(blocks, cell):
     estimates, _ = tl_omp(blocks, cell.grid, cell.array, len(cell.sources))
     return [e.params for e in estimates], []
 
 
-def _run_sfw(blocks, cell, config):
+def _run_sfw(blocks, cell):
     estimates, trace = tl_sfw(blocks, cell.grid, cell.array, len(cell.sources))
     return [e.params for e in estimates], list(trace.flags)
 
 
-def _run_nomp(blocks, cell, config):
+def _run_nomp(blocks, cell):
     estimates, trace = tl_nomp(blocks, cell.grid, cell.array, len(cell.sources))
     return [e.params for e in estimates], list(trace.flags)
 
 
-# The one registry of estimators: name -> callable(blocks, cell, config)
+# The one registry of estimators: name -> callable(blocks, cell)
 # returning (estimated trajectory parameters, flags). Scenario validation,
 # the CLI and the demo script all read it; a new estimator is added here.
 ESTIMATORS = {
@@ -118,10 +116,6 @@ class ScenarioConfig:
     sensors: int = 10
     trials: int = 100
     base_seed: int = 0
-    detection_threshold: float = 5.0
-    ospa_p: int = 2
-    ospa_c: float = 100.0
-    peak_excess: int = 2
     sweep: tuple[str, tuple[float, ...]] | None = None
 
     def __post_init__(self):
@@ -288,7 +282,7 @@ def _trial_rows(task) -> list[TrialRow]:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", NumericsWarning)
             try:
-                est, flags = ESTIMATORS[algorithm](blocks, cell, config)
+                est, flags = ESTIMATORS[algorithm](blocks, cell)
             except Exception as exc:  # failures become flagged rows
                 est, flags = [], [f"error:{type(exc).__name__}"]
         runtime_ms = (clock() - t0) * 1e3
@@ -297,21 +291,20 @@ def _trial_rows(task) -> list[TrialRow]:
         flags = sorted(set(flags))
 
         pair_for_true: dict[int, float] = {}
-        if len(est) >= K and K > 0:
-            asn = ospa_assign(truth.sources, est, config.ospa_p, config.ospa_c, cell.snapshots)
+        if len(est) >= K:
+            asn = ospa_assign(truth.sources, est, L=cell.snapshots)
             ospa = asn.ospa
             pair_for_true = {t: d for t, _, d in asn.pairs}
         elif est:
             # fewer estimates than sources: swap the roles, leave the rest
             # of the true sources unassigned
-            asn = ospa_assign(est, truth.sources, config.ospa_p, config.ospa_c, cell.snapshots)
+            asn = ospa_assign(est, truth.sources, L=cell.snapshots)
             ospa = asn.ospa
             pair_for_true = {t: d for _, t, d in asn.pairs}
             flags = sorted(set(flags + ["estimate-shortfall"]))
         else:
-            ospa = config.ospa_c
-            if K > 0:
-                flags = sorted(set(flags + ["no-estimates"]))
+            ospa = OSPA_C
+            flags = sorted(set(flags + ["no-estimates"]))
         flag_str = ";".join(flags)
         for s in range(K):
             dist = pair_for_true.get(s)
@@ -324,7 +317,7 @@ def _trial_rows(task) -> list[TrialRow]:
                     trial=trial,
                     source_id=s,
                     rmse_deg=dist,
-                    detected=dist is not None and dist < config.detection_threshold,
+                    detected=dist is not None and dist < DETECTION_THRESHOLD,
                     ospa=float(ospa),
                     runtime_ms=runtime_ms,
                     flags=flag_str,
@@ -340,9 +333,12 @@ def run_scenario(config: ScenarioConfig, n_jobs: int = 1, fake_clock: bool = Fal
     (seed = base_seed + trial). ``n_jobs > 1`` distributes trials over
     processes; rows are sorted deterministically before being returned, so
     parallel runs match serial ones. ``fake_clock`` replaces wall-clock
-    timing with a deterministic tick for reproducibility audits.
+    timing with a deterministic tick for reproducibility audits. A sweep
+    point without sources is refused before any trial runs.
     """
     sweep_name, values = sweep_points(config)
+    if not all(materialize(config, sweep_name, v).sources for v in values):
+        raise ValueError(f"scenario {config.name!r} has no sources; list them under 'sources'")
     tasks = [
         (config, sweep_name, value, trial, fake_clock)
         for value in values
@@ -535,25 +531,29 @@ def builtin_experiment(name: str) -> ScenarioConfig:
     raise KeyError(f"unknown experiment {name!r}; available: {names}")
 
 
-CONFIG_KEYS = {
+def _scalar_or_list(cast):
+    return lambda v: tuple(cast(x) for x in v) if isinstance(v, (list, tuple)) else cast(v)
+
+
+# YAML keys that set the ScenarioConfig field of the same name, with their
+# casts. A key the file leaves out, or leaves empty, takes the field's default.
+FIELD_KEYS = {
+    "sensors": int,
+    "snr_db": _scalar_or_list(float),
+    "snapshots": _scalar_or_list(int),
+    "frequencies": lambda v: None if v == "narrowband" else tuple(float(f) for f in v),
+    "algorithms": tuple,
+    "trials": int,
+    "base_seed": int,
+}
+CONFIG_KEYS = set(FIELD_KEYS) | {
     "name",
-    "sensors",
     "model",
     "order",
     "nu",
     "grid_phi",
     "grid_coeffs",
     "sources",
-    "snr_db",
-    "snapshots",
-    "frequencies",
-    "algorithms",
-    "trials",
-    "base_seed",
-    "detection_threshold",
-    "ospa_p",
-    "ospa_c",
-    "peak_excess",
     "sweep_kind",
     "sweep_values",
 }
@@ -584,41 +584,20 @@ def load_config(path: str) -> ScenarioConfig:
         triple(c, "grid_coeffs") for c in data.get("grid_coeffs", [[-5, 0.5, 5]])
     )
     sources = tuple(tuple(float(x) for x in s) for s in data.get("sources", []))
-
-    def scalar_or_tuple(v, cast):
-        if isinstance(v, (list, tuple)):
-            return tuple(cast(x) for x in v)
-        return cast(v)
-
-    freqs = data.get("frequencies")
-    if freqs in (None, "narrowband"):
-        freqs = None
-    else:
-        freqs = tuple(float(f) for f in freqs)
     sweep = None
     if "sweep_kind" in data or "sweep_values" in data:
         if not ("sweep_kind" in data and "sweep_values" in data):
             raise ValueError(f"{path}: sweep_kind and sweep_values go together")
         sweep = (str(data["sweep_kind"]), tuple(float(v) for v in data["sweep_values"]))
-    algorithms = data.get("algorithms")
+    fields = {k: cast(data[k]) for k, cast in FIELD_KEYS.items() if data.get(k) is not None}
     return ScenarioConfig(
         name=str(data.get("name", os.path.splitext(os.path.basename(path))[0])),
         model=model,
         grid_phi=grid_phi,
         grid_coeffs=grid_coeffs,
         sources=sources,
-        snr_db=scalar_or_tuple(data.get("snr_db", 5.0), float),
-        snapshots=scalar_or_tuple(data.get("snapshots", 30), int),
-        frequencies=freqs,
-        algorithms=tuple(algorithms) if algorithms else ALGORITHMS,
-        sensors=int(data.get("sensors", 10)),
-        trials=int(data.get("trials", 100)),
-        base_seed=int(data.get("base_seed", 0)),
-        detection_threshold=float(data.get("detection_threshold", 5.0)),
-        ospa_p=int(data.get("ospa_p", 2)),
-        ospa_c=float(data.get("ospa_c", 100.0)),
-        peak_excess=int(data.get("peak_excess", 2)),
         sweep=sweep,
+        **fields,
     )
 
 

@@ -11,6 +11,13 @@ from scipy.optimize import linear_sum_assignment
 from .grids import ParamGrid, doa_table, grid_point, nonphysical_mask
 from .model import TrajectoryParams, doas
 
+# The scoring rule every estimator is judged by: OSPA of order p = 2 with
+# cutoff c = 100 degrees (Schuhmacher, Vo & Vo, IEEE TSP 2008), and a true
+# source counts as detected when its assigned distance is below 5 degrees.
+OSPA_P = 2
+OSPA_C = 100.0
+DETECTION_THRESHOLD = 5.0
+
 
 def trajectory_rmse(true: TrajectoryParams, est: TrajectoryParams, L: int) -> float:
     """Root-mean-square DOA error over the block, in degrees.
@@ -36,7 +43,7 @@ class Assignment:
     unassigned_estimates: tuple[int, ...]
 
 
-def ospa_assign(true_set, est_set, p: int = 2, c: float = 100.0, L: int = 30) -> Assignment:
+def ospa_assign(true_set, est_set, p: int = OSPA_P, c: float = OSPA_C, L: int = 30) -> Assignment:
     """Optimal subpattern assignment between K true and K_hat >= K estimated
     trajectories.
 
@@ -67,7 +74,7 @@ def ospa_assign(true_set, est_set, p: int = 2, c: float = 100.0, L: int = 30) ->
     return Assignment(pairs, float(ospa), unassigned)
 
 
-def detection_stats(assignment: Assignment, threshold: float = 5.0):
+def detection_stats(assignment: Assignment, threshold: float = DETECTION_THRESHOLD):
     """Probability of detection and mean RMSE of the detected sources.
 
     A true source counts as detected when its assigned distance is strictly

@@ -74,6 +74,24 @@ def test_synth_writes_loadable_set(config_path, tmp_path, capsys):
     assert a == b
 
 
+def test_synth_without_sources_writes_noise_blocks(tmp_path):
+    p = tmp_path / "noise.yaml"
+    p.write_text("snr_db: 10\nsnapshots: 12\n")
+    out_dir = tmp_path / "noise"
+    assert main(["synth", "--config", str(p), "--out", str(out_dir), "--seed", "9"]) == 0
+    blocks, truth = load_block_set(str(out_dir))
+    assert blocks[0].data.shape == (10, 12)
+    assert truth.sources == ()
+
+
+def test_run_without_sources_names_the_key(tmp_path):
+    p = tmp_path / "noise.yaml"
+    p.write_text("snr_db: 10\nsnapshots: 12\nalgorithms: [tl-sfw, tl-nomp]\n")
+    with pytest.raises(SystemExit, match="sources"):
+        main(["run", "--config", str(p), "--out", str(tmp_path / "x"), "--trials", "1"])
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_writes_csvs(config_path, tmp_path, capsys):
     out_dir = tmp_path / "results"
     assert main(["run", "--config", config_path, "--out", str(out_dir), "--trials", "1"]) == 0

@@ -1,12 +1,15 @@
 import csv
+import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trajloc import ScenarioConfig, TrajectoryModel, emit_results, run_scenario
+from trajloc import ScenarioConfig, TrajectoryModel, emit_results, harness, run_scenario
 from trajloc.harness import (
     ALGORITHMS,
+    CONFIG_KEYS,
     ESTIMATORS,
     TrialReport,
     aggregate_csv_rows,
@@ -19,7 +22,8 @@ from trajloc.harness import (
 )
 
 LINEAR = TrajectoryModel.polynomial(1)
-SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED_CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
 LIN_GRID = dict(grid_phi=(-85.0, 2.0, 85.0), grid_coeffs=((-5.0, 0.5, 5.0),))
 
 
@@ -184,6 +188,17 @@ class TestRunScenario:
             tl_sbl(blocks, linear_grid, array, 2, 0.1, max_iters=5)
         assert blocks[0].data.tobytes() == before
 
+    @pytest.mark.parametrize(
+        "algorithms", [("tl-cbf", "tl-omp"), ("tl-sfw", "tl-nomp")], ids="+".join
+    )
+    def test_no_sources_refused_before_any_trial(self, algorithms, monkeypatch):
+        def trial_rows(task):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "_trial_rows", trial_rows)
+        with pytest.raises(ValueError, match="sources"):
+            run_scenario(small_config(sources=(), algorithms=algorithms))
+
     def test_snapshot_sweep(self):
         cfg = small_config(snapshots=(8, 16), snr_db=10.0, trials=1)
         report = run_scenario(cfg)
@@ -269,6 +284,29 @@ base_seed: 3
             assert len(cell.sources) == len(cfg.sources) > 0
             for src in cell.sources:
                 assert src.model == cfg.model
+
+    def test_readme_table_lists_every_config_key(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Scenario configs", 1)[1].split("\n## ", 1)[0]
+        table = [line for line in section.splitlines() if line.startswith("| `")]
+        keys = {k for line in table for k in re.findall(r"`(\w+)`", line.split("|")[1])}
+        assert keys == CONFIG_KEYS
+
+    def test_absent_keys_take_scenario_defaults(self, tmp_path):
+        path = tmp_path / "minimal.yaml"
+        path.write_text("sources:\n  - [-11, 3.5]\n")
+        cfg = load_config(str(path))
+        defaults = [f for f in dataclasses.fields(ScenarioConfig) if f.default is not dataclasses.MISSING]
+        assert {f.name for f in defaults} >= set(harness.FIELD_KEYS)
+        for f in defaults:
+            assert getattr(cfg, f.name) == f.default, f.name
+
+    @pytest.mark.parametrize("key", ["peak_excess", "ospa_p", "ospa_c", "detection_threshold"])
+    def test_scoring_settings_are_not_config_keys(self, tmp_path, key):
+        path = tmp_path / "scoring.yaml"
+        path.write_text(f"sources:\n  - [-11, 3.5]\n{key}: 2\n")
+        with pytest.raises(ValueError, match=key):
+            load_config(str(path))
 
     def test_overrides(self):
         cfg = small_config()
