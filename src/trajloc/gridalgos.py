@@ -44,11 +44,9 @@ from .model import (
 from .optim import (
     NumericsWarning,
     _phase_scale,
-    _warn_coincident,
     amplitudes_ls,
-    project_out,
+    project_all,
     residual_energy,
-    steering_stack,
 )
 
 
@@ -258,22 +256,16 @@ def tl_omp(blocks, grid: ParamGrid, array: ArrayConfig, K: int):
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    _, L = _check_blocks(blocks, array)
+    _check_blocks(blocks, array)
     wavelengths = block_wavelengths(array, blocks)
     residuals = [b.data for b in blocks]
     selected: list[TrajectoryParams] = []
     norms: list[float] = []
-    deficient = False
     for _ in range(K):
         values = grid_beam_power(residuals, grid, array, wavelengths)
         selected.append(grid_point(grid, int(np.argmax(values))))
-        for fi, lam in enumerate(wavelengths):
-            A = steering_stack(selected, array, L, lam)
-            _, residuals[fi], bad = project_out(A, residuals[fi])
-            deficient |= bad
+        _, _, residuals = project_all(selected, residuals, array, wavelengths)
         norms.append(float(np.sqrt(residual_energy(residuals))))
-    if deficient:
-        _warn_coincident()
     amps = amplitudes_ls(selected, blocks, array)
     estimates = [
         SourceEstimate(t, tuple(X[i] for X in amps)) for i, t in enumerate(selected)

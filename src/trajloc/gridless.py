@@ -40,14 +40,12 @@ from .model import (
 )
 from .optim import (
     Bounds,
-    batched_snapshot_ls,
     joint_refine,
     maximize_local,
     model_residuals,
     newton_step,
-    project_out,
+    project_all,
     residual_energy,
-    steering_stack,
 )
 
 
@@ -69,16 +67,6 @@ class RunTrace:
 
     def add_time(self, phase: str, seconds: float):
         self.timings[phase] = self.timings.get(phase, 0.0) + seconds
-
-
-def _single_fit(omega, residuals, array, wavelengths):
-    """One trajectory's (1, N, L) steering stack and its per-snapshot
-    matched-filter amplitudes diag(A~(omega)^H R) / N (the single-source
-    least-squares solution), each one per frequency."""
-    L = residuals[0].shape[1]
-    stacks = [steering_stack([omega], array, L, lam) for lam in wavelengths]
-    amps = [batched_snapshot_ls(A, R)[0][:, 0] for A, R in zip(stacks, residuals)]
-    return stacks, amps
 
 
 def _coarse_start(residuals, grid, array, wavelengths, trace):
@@ -199,8 +187,7 @@ def tl_nomp(
     residuals = list(Y)  # orthogonal residual R^{[k-1]}
     W: list[TrajectoryParams] = []
     stacks: list[list[np.ndarray]] = []  # per source, per frequency (1, N, L)
-    amps: list[list[np.ndarray]] = []  # per source, per frequency (L,)
-    L = Y[0].shape[1]
+    amps: list[list[np.ndarray]] = []  # per source, per frequency (1, L)
     tol = CYCLIC_RTOL * residual_energy(Y)
     for k in range(1, K + 1):
         t0 = time.perf_counter()
@@ -210,23 +197,22 @@ def tl_nomp(
 
         omega, _ = newton_step(omega, residuals, array, wavelengths, bounds)
         trace.refinements += 1
-        A_new, x_new = _single_fit(omega, residuals, array, wavelengths)
+        A_new, x_new, _ = project_all([omega], residuals, array, wavelengths)
         W.append(omega)
         stacks.append(A_new)
         amps.append(x_new)
         t2 = time.perf_counter()
         trace.add_time("newton", t2 - t1)
 
-        X = [np.stack(x) for x in zip(*amps)]  # (k, L) per frequency
+        X = [np.concatenate(x) for x in zip(*amps)]  # (k, L) per frequency
         R_star, _ = model_residuals(W, X, blocks, array, wavelengths)
         before = residual_energy(R_star)
         for cycle in range(1, MAX_CYCLES + 1):
             for i in range(len(W)):
-                R_hat = [Rs + A[0] * x[None, :] for Rs, A, x in zip(R_star, stacks[i], amps[i])]
+                R_hat = [Rs + A[0] * x for Rs, A, x in zip(R_star, stacks[i], amps[i])]
                 W[i], _ = newton_step(W[i], R_hat, array, wavelengths, bounds)
-                stacks[i], amps[i] = _single_fit(W[i], R_hat, array, wavelengths)
+                stacks[i], amps[i], R_star = project_all([W[i]], R_hat, array, wavelengths)
                 trace.refinements += 1
-                R_star = [Rh - A[0] * x[None, :] for Rh, A, x in zip(R_hat, stacks[i], amps[i])]
             after = residual_energy(R_star)
             trace.fit_history.append((f"cycle[{k}.{cycle}]", after))
             if abs(before - after) <= tol:
@@ -239,10 +225,9 @@ def tl_nomp(
 
         # orthogonal residual: project the data away from all selected
         # steering vectors, snapshot by snapshot
-        for fi, lam in enumerate(wavelengths):
-            _, residuals[fi], _ = project_out(steering_stack(W, array, L, lam), Y[fi])
+        _, _, residuals = project_all(W, Y, array, wavelengths)
         trace.residual_norms.append(float(np.sqrt(residual_energy(residuals))))
         trace.add_time("project", time.perf_counter() - t3)
 
-    estimates = [SourceEstimate(w, tuple(amps[i])) for i, w in enumerate(W)]
+    estimates = [SourceEstimate(w, tuple(x[0] for x in amps[i])) for i, w in enumerate(W)]
     return estimates, trace

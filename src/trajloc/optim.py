@@ -159,10 +159,6 @@ def objective_grad_hess(params: TrajectoryParams, residuals, array: ArrayConfig,
     return g / L, H / L
 
 
-def _objective_vec(model, vec, residuals, array, wavelengths) -> float:
-    return objective(TrajectoryParams.from_vector(model, vec), residuals, array, wavelengths)
-
-
 def batched_snapshot_ls(A: np.ndarray, Y: np.ndarray):
     """Least-squares coefficients of every snapshot of Y in its steering set.
 
@@ -210,13 +206,23 @@ def project_out(A: np.ndarray, Y: np.ndarray):
     return X, Y - np.einsum("inl,il...->nl...", A, X), bad
 
 
-def _warn_coincident():
-    warnings.warn(
-        "steering vectors nearly coincide at some snapshots; "
-        "least squares used the minimum-norm solution",
-        NumericsWarning,
-        stacklevel=3,
-    )
+def project_all(trajectories, data, array: ArrayConfig, wavelengths):
+    """The one per-frequency least-squares fit: `project_out` of each
+    frequency's data matrix against the trajectories' (k, N, L) steering
+    stack. A rank-deficient fit at any frequency raises one `NumericsWarning`
+    per call. Returns per-frequency lists (stacks, (k, L) amplitudes,
+    residuals)."""
+    L = data[0].shape[1]
+    stacks = [steering_stack(trajectories, array, L, lam) for lam in wavelengths]
+    X, R, bad = zip(*(project_out(A, Y) for A, Y in zip(stacks, data)))
+    if any(bad):
+        warnings.warn(
+            "steering vectors nearly coincide at some snapshots; "
+            "least squares used the minimum-norm solution",
+            NumericsWarning,
+            stacklevel=2,
+        )
+    return stacks, list(X), list(R)
 
 
 def amplitudes_ls(trajectories, blocks, array: ArrayConfig):
@@ -233,16 +239,7 @@ def amplitudes_ls(trajectories, blocks, array: ArrayConfig):
     trajectories = list(trajectories)
     if len(trajectories) < 1:
         raise ValueError("need at least one trajectory")
-    out = []
-    deficient = False
-    for block, lam in zip(blocks, block_wavelengths(array, blocks)):
-        A = steering_stack(trajectories, array, block.snapshots, lam)
-        X, bad = batched_snapshot_ls(A, block.data)
-        deficient |= bad
-        out.append(X.T.copy())
-    if deficient:
-        _warn_coincident()
-    return out
+    return project_all(trajectories, [b.data for b in blocks], array, block_wavelengths(array, blocks))[1]
 
 
 def _backtrack(value, u, d, g, base, bounds, physical, maximize):
@@ -287,7 +284,7 @@ def maximize_local(
     model = omega0.model
     u = bounds.clip(omega0.vector())
     physical = _physical(_doa_map(model, residuals[0].shape[1]))
-    value = lambda v: _objective_vec(model, v, residuals, array, wavelengths)
+    value = lambda v: objective(TrajectoryParams.from_vector(model, v), residuals, array, wavelengths)
     J = value(u)
     step_norms = []
     objectives = []
@@ -330,7 +327,7 @@ def newton_step(
     model = omega.model
     u = bounds.clip(omega.vector())
     physical = _physical(_doa_map(model, residuals[0].shape[1]))
-    value = lambda v: _objective_vec(model, v, residuals, array, wavelengths)
+    value = lambda v: objective(TrajectoryParams.from_vector(model, v), residuals, array, wavelengths)
     J0 = value(u)
     g, H = objective_grad_hess(
         TrajectoryParams.from_vector(model, u), residuals, array, wavelengths
@@ -399,6 +396,7 @@ def joint_refine(
     D = model.n_params
     L = blocks[0].snapshots
     wavelengths = block_wavelengths(array, blocks)
+    data = [b.data for b in blocks]
     T = _doa_map(model, L)
     physical = _physical(T)
     lows = np.tile(bounds.lows, k)
@@ -411,15 +409,10 @@ def joint_refine(
     last = None  # (fit error, trajectories, amplitudes, residuals, stacks) of the latest point
 
     def fit_error(u):
-        # one steering stack per frequency serves both the amplitude solve
-        # and the residual
         nonlocal last
         trajs = split(u)
-        A = [steering_stack(trajs, array, L, lam) for lam in wavelengths]
-        X, R, bad = zip(*(project_out(A_f, block.data) for A_f, block in zip(A, blocks)))
-        if any(bad):
-            _warn_coincident()
-        last = (0.5 * residual_energy(R), trajs, list(X), list(R), A)
+        A, X, R = project_all(trajs, data, array, wavelengths)
+        last = (0.5 * residual_energy(R), trajs, X, R, A)
         return last[0]
 
     u = box.clip(np.concatenate([t.vector() for t in trajectories]))

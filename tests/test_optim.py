@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from trajloc import (
+    ArrayConfig,
     Bounds,
+    NumericsWarning,
     TrajectoryModel,
     TrajectoryParams,
     amplitudes_ls,
@@ -15,7 +19,15 @@ from trajloc import (
     tl_cbf_spectrum,
 )
 from trajloc.model import block_wavelengths, trajectory_steering_matrix, wavelength_for
-from trajloc.optim import BACKTRACK, STEP_TOL, _backtrack, model_residuals
+from trajloc.optim import (
+    BACKTRACK,
+    STEP_TOL,
+    _backtrack,
+    model_residuals,
+    project_all,
+    project_out,
+    steering_stack,
+)
 from trajloc import grid_point
 from conftest import random_params
 
@@ -152,8 +164,6 @@ class TestAmplitudes:
     def test_coincident_trajectories_flagged(self, array):
         src = TrajectoryParams(LINEAR, 10.0, (1.0,))
         blocks, _ = synthesize_block([src], array, 30, 5.0, seed=5)
-        from trajloc import NumericsWarning
-
         with pytest.warns(NumericsWarning):
             amplitudes_ls([src, src], blocks, array)
 
@@ -161,8 +171,6 @@ class TestAmplitudes:
     def test_stacked_right_hand_sides_match_one_at_a_time(self, array, phis):
         # (N, L, m) right-hand sides, as joint_refine projects its Jacobian,
         # on the matched-filter, normal-equation and pseudo-inverse paths
-        from trajloc.optim import project_out, steering_stack
-
         rng = np.random.default_rng(15)
         trajs = [TrajectoryParams(LINEAR, phi, (1.0,)) for phi in phis]
         A = steering_stack(trajs, array, 30, wavelength_for(array, None))
@@ -173,6 +181,35 @@ class TestAmplitudes:
             X_j, R_j, _ = project_out(A, Y[..., j])
             np.testing.assert_allclose(X[..., j], X_j, rtol=0, atol=1e-12)
             np.testing.assert_allclose(R[..., j], R_j, rtol=0, atol=1e-12)
+
+
+class TestProjectAll:
+    FREQS = (1400.0, 1600.0, 1800.0)
+
+    def wideband(self, sources, seed):
+        array = ArrayConfig.for_frequencies(10, self.FREQS)
+        blocks, _ = synthesize_block(sources, array, 30, 5.0, self.FREQS, seed=seed)
+        return array, [b.data for b in blocks], block_wavelengths(array, blocks)
+
+    def test_equals_per_frequency_projection_bit_for_bit(self, four_sources):
+        array, data, lams = self.wideband(four_sources, seed=8)
+        stacks, X, R = project_all(four_sources, data, array, lams)
+        assert len(stacks) == len(X) == len(R) == len(self.FREQS)
+        for f, (Y, lam) in enumerate(zip(data, lams)):
+            A = steering_stack(four_sources, array, 30, lam)
+            X_f, R_f, bad = project_out(A, Y)
+            assert not bad
+            assert np.array_equal(stacks[f], A)
+            assert np.array_equal(X[f], X_f)
+            assert np.array_equal(R[f], R_f)
+
+    def test_coincident_pair_warns_once_per_call(self):
+        src = TrajectoryParams(LINEAR, 10.0, (1.0,))
+        array, data, lams = self.wideband([src], seed=9)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            project_all([src, src], data, array, lams)
+        assert [w.category for w in caught] == [NumericsWarning]
 
 
 class TestLocalAscent:
@@ -327,8 +364,6 @@ class TestJointRefine:
             assert report.final_objective <= fit_at(start) + 1e-9
 
     def test_coincident_start_warns(self, array):
-        from trajloc import NumericsWarning
-
         src = TrajectoryParams(LINEAR, 10.0, (1.0,))
         blocks, _ = synthesize_block([src], array, 30, 5.0, seed=5)
         with pytest.warns(NumericsWarning):
