@@ -81,7 +81,11 @@ class PeakSet:
         return [p for p, _ in self.entries]
 
 
-def _check_blocks(blocks, array: ArrayConfig) -> tuple[int, int]:
+def _check_blocks(blocks, array: ArrayConfig, K: int | None = None) -> tuple[float, ...]:
+    """Refuse malformed blocks, and a source count K below 1 where one is
+    sought; return the blocks' processing wavelengths."""
+    if K is not None and K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     if not blocks:
         raise ValueError("need at least one observation block")
     N, L = blocks[0].data.shape
@@ -92,7 +96,7 @@ def _check_blocks(blocks, array: ArrayConfig) -> tuple[int, int]:
         raise ValueError(
             f"blocks have {N} sensor rows but the array has {array.n_sensors} sensors"
         )
-    return N, L
+    return block_wavelengths(array, blocks)
 
 
 SBL_TOL = 1e-3  # TL-SBL's stop: largest gamma change / largest gamma
@@ -207,8 +211,7 @@ def tl_cbf_spectrum(blocks, grid: ParamGrid, array: ArrayConfig) -> Spectrum:
     Single-frequency input gives the narrowband spectrum; wideband block sets
     sum the spectrum across frequencies.
     """
-    _check_blocks(blocks, array)
-    wavelengths = block_wavelengths(array, blocks)
+    wavelengths = _check_blocks(blocks, array)
     values = grid_beam_power([b.data for b in blocks], grid, array, wavelengths)
     return Spectrum(grid, values)
 
@@ -254,10 +257,7 @@ def tl_omp(blocks, grid: ParamGrid, array: ArrayConfig, K: int):
     Returns (list of SourceEstimate, residual Frobenius norm after each
     iteration).
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    _check_blocks(blocks, array)
-    wavelengths = block_wavelengths(array, blocks)
+    wavelengths = _check_blocks(blocks, array, K)
     residuals = [b.data for b in blocks]
     selected: list[TrajectoryParams] = []
     norms: list[float] = []
@@ -312,8 +312,8 @@ def tl_sbl(
         raise ValueError("noise variance must be positive (assumed known)")
     if len(blocks) != 1:
         raise ValueError("TL-SBL is narrowband: pass exactly one block")
-    N, L = _check_blocks(blocks, array)
-    lam = block_wavelengths(array, blocks)[0]
+    (lam,) = _check_blocks(blocks, array, K)
+    N, L = blocks[0].data.shape
     M = grid.size
 
     E = phase_table(grid, L, _phase_scale(array, lam))  # (M, L)

@@ -35,7 +35,6 @@ from .model import (
     ArrayConfig,
     SourceEstimate,
     TrajectoryParams,
-    block_wavelengths,
     trajectory_steering_matrix,  # noqa: F401 -- module attribute that perfbench's tracer rebinds
 )
 from .optim import (
@@ -119,15 +118,9 @@ def tl_sfw(
 
     Returns (list of K SourceEstimate, RunTrace).
     """
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    _check_blocks(blocks, array)
-    wavelengths = block_wavelengths(array, blocks)
+    wavelengths = _check_blocks(blocks, array, K)
     bounds = Bounds.from_grid(grid)
     trace = RunTrace()
-    if K == 0:
-        return [], trace
-
     residuals = [b.data for b in blocks]
     W: list[TrajectoryParams] = []
     for k in range(1, K + 1):
@@ -174,16 +167,10 @@ def tl_nomp(
 
     Returns (list of K SourceEstimate, RunTrace).
     """
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    _check_blocks(blocks, array)
-    wavelengths = block_wavelengths(array, blocks)
+    wavelengths = _check_blocks(blocks, array, K)
     bounds = Bounds.from_grid(grid)
     Y = [b.data for b in blocks]
     trace = RunTrace()
-    if K == 0:
-        return [], trace
-
     residuals = list(Y)  # orthogonal residual R^{[k-1]}
     W: list[TrajectoryParams] = []
     stacks: list[list[np.ndarray]] = []  # per source, per frequency (1, N, L)

@@ -24,7 +24,7 @@ import numpy as np
 from .gridalgos import PEAK_EXCESS, find_peaks, tl_cbf_spectrum, tl_omp, tl_sbl
 from .gridless import tl_nomp, tl_sfw
 from .grids import ParamGrid, build_grid
-from .metrics import DETECTION_THRESHOLD, OSPA_C, ospa_assign
+from .metrics import DETECTION_THRESHOLD, ospa_assign
 from .model import (
     BANDLIMITED,
     POLYNOMIAL,
@@ -288,23 +288,13 @@ def _trial_rows(task) -> list[TrialRow]:
         runtime_ms = (clock() - t0) * 1e3
         if any(issubclass(w.category, NumericsWarning) for w in caught):
             flags.append("numerics")
+        asn = ospa_assign(truth.sources, est, L=cell.snapshots)
+        pair_for_true = {t: d for t, _, d in asn.pairs}
+        if not est:
+            flags.append("no-estimates")
+        elif len(est) < K:
+            flags.append("estimate-shortfall")
         flags = sorted(set(flags))
-
-        pair_for_true: dict[int, float] = {}
-        if len(est) >= K:
-            asn = ospa_assign(truth.sources, est, L=cell.snapshots)
-            ospa = asn.ospa
-            pair_for_true = {t: d for t, _, d in asn.pairs}
-        elif est:
-            # fewer estimates than sources: swap the roles, leave the rest
-            # of the true sources unassigned
-            asn = ospa_assign(est, truth.sources, L=cell.snapshots)
-            ospa = asn.ospa
-            pair_for_true = {t: d for _, t, d in asn.pairs}
-            flags = sorted(set(flags + ["estimate-shortfall"]))
-        else:
-            ospa = OSPA_C
-            flags = sorted(set(flags + ["no-estimates"]))
         flag_str = ";".join(flags)
         for s in range(K):
             dist = pair_for_true.get(s)
@@ -318,7 +308,7 @@ def _trial_rows(task) -> list[TrialRow]:
                     source_id=s,
                     rmse_deg=dist,
                     detected=dist is not None and dist < DETECTION_THRESHOLD,
-                    ospa=float(ospa),
+                    ospa=asn.ospa,
                     runtime_ms=runtime_ms,
                     flags=flag_str,
                 )
@@ -535,14 +525,30 @@ def _scalar_or_list(cast):
     return lambda v: tuple(cast(x) for x in v) if isinstance(v, (list, tuple)) else cast(v)
 
 
+def _list_of(cast):
+    def read(v):
+        if not isinstance(v, list):
+            raise TypeError(f"expected a list, got {v!r}")
+        return tuple(cast(x) for x in v)
+
+    return read
+
+
+def _triple(v):
+    v = _list_of(float)(v)
+    if len(v) != 3:
+        raise ValueError(f"expected [start, step, stop], got {list(v)}")
+    return v
+
+
 # YAML keys that set the ScenarioConfig field of the same name, with their
 # casts. A key the file leaves out, or leaves empty, takes the field's default.
 FIELD_KEYS = {
     "sensors": int,
     "snr_db": _scalar_or_list(float),
     "snapshots": _scalar_or_list(int),
-    "frequencies": lambda v: None if v == "narrowband" else tuple(float(f) for f in v),
-    "algorithms": tuple,
+    "frequencies": lambda v: None if v == "narrowband" else _list_of(float)(v),
+    "algorithms": lambda v: _list_of(str)([v] if isinstance(v, str) else v),
     "trials": int,
     "base_seed": int,
 }
@@ -568,28 +574,30 @@ def load_config(path: str) -> ScenarioConfig:
     unknown = sorted(set(data) - CONFIG_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
+
+    def read(key, cast, default=None):
+        # an absent or empty key takes the default; a value of the wrong
+        # shape is refused by name, not left to a bare TypeError
+        if data.get(key) is None:
+            return default
+        try:
+            return cast(data[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {key}: {exc}") from exc
+
     kind = data.get("model", POLYNOMIAL)
     if kind == BANDLIMITED and "nu" not in data:
         raise ValueError(f"{path}: bandlimited model requires an explicit nu")
-    model = TrajectoryModel(kind, int(data.get("order", 1)), data.get("nu"))
-
-    def triple(v, key):
-        v = tuple(float(x) for x in v)
-        if len(v) != 3:
-            raise ValueError(f"{path}: {key} must be [start, step, stop]")
-        return v
-
-    grid_phi = triple(data.get("grid_phi", [-85, 2, 85]), "grid_phi")
-    grid_coeffs = tuple(
-        triple(c, "grid_coeffs") for c in data.get("grid_coeffs", [[-5, 0.5, 5]])
-    )
-    sources = tuple(tuple(float(x) for x in s) for s in data.get("sources", []))
+    model = TrajectoryModel(kind, read("order", int, 1), data.get("nu"))
+    grid_phi = read("grid_phi", _triple, (-85.0, 2.0, 85.0))
+    grid_coeffs = read("grid_coeffs", _list_of(_triple), ((-5.0, 0.5, 5.0),))
+    sources = read("sources", _list_of(_list_of(float)), ())
     sweep = None
     if "sweep_kind" in data or "sweep_values" in data:
         if not ("sweep_kind" in data and "sweep_values" in data):
             raise ValueError(f"{path}: sweep_kind and sweep_values go together")
-        sweep = (str(data["sweep_kind"]), tuple(float(v) for v in data["sweep_values"]))
-    fields = {k: cast(data[k]) for k, cast in FIELD_KEYS.items() if data.get(k) is not None}
+        sweep = (str(data["sweep_kind"]), read("sweep_values", _list_of(float), ()))
+    fields = {k: read(k, cast) for k, cast in FIELD_KEYS.items() if data.get(k) is not None}
     return ScenarioConfig(
         name=str(data.get("name", os.path.splitext(os.path.basename(path))[0])),
         model=model,

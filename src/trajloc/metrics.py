@@ -33,9 +33,9 @@ def trajectory_rmse(true: TrajectoryParams, est: TrajectoryParams, L: int) -> fl
 class Assignment:
     """Optimal pairing of true sources with estimates under the OSPA cost.
 
-    ``pairs`` holds (true_index, estimate_index, cutoff_distance) with each
-    true index appearing exactly once; distances are already clipped at the
-    cutoff ``c``.
+    ``pairs`` holds (true_index, estimate_index, cutoff_distance) in
+    increasing true index, each true index at most once (min(K, K_hat)
+    pairs); distances are already clipped at the cutoff ``c``.
     """
 
     pairs: tuple[tuple[int, int, float], ...]
@@ -43,32 +43,34 @@ class Assignment:
     unassigned_estimates: tuple[int, ...]
 
 
-def ospa_assign(true_set, est_set, p: int = OSPA_P, c: float = OSPA_C, L: int = 30) -> Assignment:
-    """Optimal subpattern assignment between K true and K_hat >= K estimated
-    trajectories.
+def ospa_assign(true_set, est_set, L: int, p: int = OSPA_P, c: float = OSPA_C) -> Assignment:
+    """Optimal subpattern assignment between K true and K_hat estimated
+    trajectories over a block of L snapshots.
 
-    The K x K_hat cost matrix holds ``min(c, rmse)**p``; the minimizing
-    injection is found by exact rectangular assignment, and the metric adds
-    the cardinality penalty ``(K_hat - K) * c**p`` before the 1/p root.
+    The K x K_hat cost matrix holds ``min(c, rmse)**p``; the smaller set is
+    injected into the larger one by exact rectangular assignment (OSPA is
+    symmetric, so K > K_hat transposes the problem), and the metric adds
+    the cardinality penalty ``|K_hat - K| * c**p`` before the 1/p root.
     """
     true_set = list(true_set)
     est_set = list(est_set)
     K, Khat = len(true_set), len(est_set)
-    if K > Khat:
-        raise ValueError(f"need K <= K_hat, got K={K}, K_hat={Khat} (swap the roles)")
-    if Khat == 0:
+    if max(K, Khat) == 0:
         return Assignment((), 0.0, ())
 
     cost = np.empty((K, Khat))
     for i, t in enumerate(true_set):
         for j, e in enumerate(est_set):
             cost[i, j] = min(c, trajectory_rmse(t, e, L)) ** p
-    rows, cols = linear_sum_assignment(cost)
+    if K <= Khat:
+        rows, cols = linear_sum_assignment(cost)
+    else:
+        cols, rows = linear_sum_assignment(cost.T)
     pairs = tuple(
-        (int(i), int(j), float(cost[i, j] ** (1.0 / p))) for i, j in zip(rows, cols)
+        sorted((int(i), int(j), float(cost[i, j] ** (1.0 / p))) for i, j in zip(rows, cols))
     )
-    total = float(cost[rows, cols].sum()) + (Khat - K) * c**p
-    ospa = (total / Khat) ** (1.0 / p)
+    total = float(cost[rows, cols].sum()) + abs(Khat - K) * c**p
+    ospa = (total / max(K, Khat)) ** (1.0 / p)
     assigned = set(int(j) for j in cols)
     unassigned = tuple(j for j in range(Khat) if j not in assigned)
     return Assignment(pairs, float(ospa), unassigned)

@@ -11,6 +11,11 @@ sensor-index moments of ``conj(a) * r``.
 
 Everything here works in degrees at the interface and is purely functional;
 callers pass one residual matrix and one wavelength per frequency.
+
+`project_all` is the one per-frequency least-squares fit: the steering
+stacks of the selected trajectories, every snapshot fitted in their span,
+and the amplitudes and residuals. TL-OMP, TL-NOMP, `amplitudes_ls` and the
+variable-projection `joint_refine` all call it.
 """
 
 from __future__ import annotations

@@ -92,6 +92,27 @@ def test_run_without_sources_names_the_key(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("sources: 5", "sources"),
+        ("sources: [5]", "sources"),
+        ("grid_phi: 5", "grid_phi"),
+        ("grid_phi: [1, 2]", "grid_phi"),
+        ("grid_coeffs: 5", "grid_coeffs"),
+        ("sweep_kind: zeta\nsweep_values: 5", "sweep_values"),
+        ("snapshots: [a]", "snapshots"),
+    ],
+)
+def test_run_names_a_wrong_shaped_key(tmp_path, text, key):
+    p = tmp_path / "bad.yaml"
+    p.write_text(text + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(p), "--out", str(tmp_path / "x"), "--trials", "1"])
+    message = str(exc.value.code)
+    assert message.startswith("error: ") and f" {key}: " in message
+
+
 def test_run_writes_csvs(config_path, tmp_path, capsys):
     out_dir = tmp_path / "results"
     assert main(["run", "--config", config_path, "--out", str(out_dir), "--trials", "1"]) == 0

@@ -615,3 +615,12 @@ def test_rejects_sensor_count_mismatch(name, linear_grid):
     blocks, _ = synthesize_block([], ArrayConfig(8), 30, 0.0, seed=0)
     with pytest.raises(ValueError, match="8 sensor rows but the array has 10 sensors"):
         ESTIMATORS[name](blocks, linear_grid, ArrayConfig(10))
+
+
+def test_source_count_below_one_refused_alike(array, linear_grid):
+    # every estimator that takes K refuses K < 1 with the same message
+    blocks, _ = synthesize_block([TrajectoryParams(LINEAR, 20.0, (1.5,))], array, 30, 5.0, seed=1)
+    for K in (0, -1):
+        for estimate in (tl_omp, tl_sfw, tl_nomp, lambda *args: tl_sbl(*args, 1.0)):
+            with pytest.raises(ValueError, match=rf"^K must be >= 1, got {K}$"):
+                estimate(blocks, linear_grid, array, K)

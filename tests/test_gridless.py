@@ -70,13 +70,6 @@ class TestTlSfw:
         assert len(estimates[0].amplitudes) == 1
         assert estimates[0].amplitudes[0].shape == (30,)
 
-    def test_k_zero_returns_empty_trace(self, array, linear_grid):
-        src = TrajectoryParams(LINEAR, 20.0, (1.5,))
-        blocks, _ = synthesize_block([src], array, 30, 5.0, seed=1)
-        estimates, trace = tl_sfw(blocks, linear_grid, array, 0)
-        assert estimates == []
-        assert trace.residual_norms == [] and trace.fit_history == []
-
     def test_residual_norm_matches_returned_estimates(self, array, linear_grid, four_sources):
         # the carried residual is the plain fit residual of the estimates
         blocks, _ = synthesize_block(four_sources, array, 30, 5.0, seed=1)

@@ -263,6 +263,11 @@ base_seed: 3
         assert cfg.trials == 4
         assert cfg.sources == ((-11.0, 3.5), (20.0, 1.5))
 
+    def test_scalar_algorithms_is_one_name(self, tmp_path):
+        path = tmp_path / "one.yaml"
+        path.write_text("sources:\n  - [-11, 3.5]\nalgorithms: tl-cbf\n")
+        assert load_config(str(path)).algorithms == ("tl-cbf",)
+
     def test_unknown_keys_refused(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("name: x\nsnrdb: 5\n")

@@ -83,9 +83,16 @@ class TestOspa:
         assert asn.ospa == pytest.approx(70.711, abs=1e-3)
         assert asn.unassigned_estimates == (1,)
 
-    def test_requires_more_estimates_than_truth(self):
-        with pytest.raises(ValueError):
-            ospa_assign([lin(0, 0), lin(10, 0)], [lin(0, 0)], L=30)
+    def test_fewer_estimates_than_truth_mirror_the_swapped_roles(self):
+        rng = np.random.default_rng(21)
+        for Khat in range(3):
+            T = [random_params(LINEAR, rng) for _ in range(Khat + 2)]
+            E = [random_params(LINEAR, rng) for _ in range(Khat)]
+            asn, swapped = ospa_assign(T, E, L=30), ospa_assign(E, T, L=30)
+            assert asn.ospa == swapped.ospa
+            assert asn.pairs == tuple(sorted((t, e, d) for e, t, d in swapped.pairs))
+            assert asn.unassigned_estimates == ()
+        assert ospa_assign([lin(0, 0)], [], L=30).ospa == 100.0
 
     def test_bounded_by_cutoff(self):
         rng = np.random.default_rng(3)
