@@ -171,7 +171,7 @@ def tl_nomp(
     bounds = Bounds.from_grid(grid)
     Y = [b.data for b in blocks]
     trace = RunTrace()
-    residuals = list(Y)  # orthogonal residual R^{[k-1]}
+    residuals = Y  # orthogonal residual R^{[k-1]}
     W: list[TrajectoryParams] = []
     stacks: list[list[np.ndarray]] = []  # per source, per frequency (1, N, L)
     amps: list[list[np.ndarray]] = []  # per source, per frequency (1, L)
