@@ -35,12 +35,14 @@ class Assignment:
 
     ``pairs`` holds (true_index, estimate_index, cutoff_distance) in
     increasing true index, each true index at most once (min(K, K_hat)
-    pairs); distances are already clipped at the cutoff ``c``.
+    pairs); distances are already clipped at the cutoff ``c``. The indices
+    left out of ``pairs`` are listed as unassigned.
     """
 
     pairs: tuple[tuple[int, int, float], ...]
     ospa: float
     unassigned_estimates: tuple[int, ...]
+    unassigned_truths: tuple[int, ...]
 
 
 def ospa_assign(true_set, est_set, L: int, p: int = OSPA_P, c: float = OSPA_C) -> Assignment:
@@ -56,7 +58,7 @@ def ospa_assign(true_set, est_set, L: int, p: int = OSPA_P, c: float = OSPA_C) -
     est_set = list(est_set)
     K, Khat = len(true_set), len(est_set)
     if max(K, Khat) == 0:
-        return Assignment((), 0.0, ())
+        return Assignment((), 0.0, (), ())
 
     cost = np.empty((K, Khat))
     for i, t in enumerate(true_set):
@@ -71,21 +73,22 @@ def ospa_assign(true_set, est_set, L: int, p: int = OSPA_P, c: float = OSPA_C) -
     )
     total = float(cost[rows, cols].sum()) + abs(Khat - K) * c**p
     ospa = (total / max(K, Khat)) ** (1.0 / p)
-    assigned = set(int(j) for j in cols)
-    unassigned = tuple(j for j in range(Khat) if j not in assigned)
-    return Assignment(pairs, float(ospa), unassigned)
+    unassigned = tuple(sorted(set(range(Khat)) - set(cols.tolist())))
+    missed = tuple(sorted(set(range(K)) - set(rows.tolist())))
+    return Assignment(pairs, float(ospa), unassigned, missed)
 
 
 def detection_stats(assignment: Assignment, threshold: float = DETECTION_THRESHOLD):
     """Probability of detection and mean RMSE of the detected sources.
 
     A true source counts as detected when its assigned distance is strictly
-    below the threshold. With no detections the RMSE is ``None`` (absent, not
-    zero).
+    below the threshold; an unassigned one (K > K_hat) is missed. With no
+    detections the RMSE is ``None`` (absent, not zero).
     """
     if not assignment.pairs:
         return 0.0, None
-    dists = np.array([d for _, _, d in assignment.pairs])
+    missed = [np.inf] * len(assignment.unassigned_truths)
+    dists = np.array([d for _, _, d in assignment.pairs] + missed)
     detected = dists < threshold
     pd = float(np.mean(detected))
     if not detected.any():

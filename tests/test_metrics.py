@@ -91,7 +91,8 @@ class TestOspa:
             asn, swapped = ospa_assign(T, E, L=30), ospa_assign(E, T, L=30)
             assert asn.ospa == swapped.ospa
             assert asn.pairs == tuple(sorted((t, e, d) for e, t, d in swapped.pairs))
-            assert asn.unassigned_estimates == ()
+            assert asn.unassigned_estimates == swapped.unassigned_truths == ()
+            assert asn.unassigned_truths == swapped.unassigned_estimates
         assert ospa_assign([lin(0, 0)], [], L=30).ospa == 100.0
 
     def test_bounded_by_cutoff(self):
@@ -138,6 +139,12 @@ class TestDetectionStats:
         pd, rmse = detection_stats(ospa_assign([lin(0, 0)], [lin(80, 0)], L=30))
         assert pd == 0.0
         assert rmse is None
+
+    def test_unassigned_true_source_is_missed(self):
+        truth = [lin(0, 0), lin(40, 0)]
+        asn = ospa_assign(truth, [lin(0, 0)], L=30)
+        assert asn.unassigned_truths == (1,)
+        assert detection_stats(asn) == (0.5, 0.0)
 
     def test_pd_monotone_in_threshold(self):
         rng = np.random.default_rng(5)
