@@ -588,7 +588,7 @@ def load_config(path: str) -> ScenarioConfig:
     kind = data.get("model", POLYNOMIAL)
     if kind == BANDLIMITED and "nu" not in data:
         raise ValueError(f"{path}: bandlimited model requires an explicit nu")
-    model = TrajectoryModel(kind, read("order", int, 1), data.get("nu"))
+    model = TrajectoryModel(kind, read("order", int, 1), read("nu", float))
     grid_phi = read("grid_phi", _triple, (-85.0, 2.0, 85.0))
     grid_coeffs = read("grid_coeffs", _list_of(_triple), ((-5.0, 0.5, 5.0),))
     sources = read("sources", _list_of(_list_of(float)), ())

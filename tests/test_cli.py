@@ -102,6 +102,7 @@ def test_run_without_sources_names_the_key(tmp_path):
         ("grid_coeffs: 5", "grid_coeffs"),
         ("sweep_kind: zeta\nsweep_values: 5", "sweep_values"),
         ("snapshots: [a]", "snapshots"),
+        ("model: bandlimited\nnu: [1]", "nu"),
     ],
 )
 def test_run_names_a_wrong_shaped_key(tmp_path, text, key):
