@@ -541,6 +541,13 @@ def _triple(v):
     return v
 
 
+def _source(v):
+    v = _list_of(float)(v)
+    if not v:
+        raise ValueError("expected [phi, coeff1, ...], got []")
+    return v
+
+
 # YAML keys that set the ScenarioConfig field of the same name, with their
 # casts. A key the file leaves out, or leaves empty, takes the field's default.
 FIELD_KEYS = {
@@ -591,7 +598,7 @@ def load_config(path: str) -> ScenarioConfig:
     model = TrajectoryModel(kind, read("order", int, 1), read("nu", float))
     grid_phi = read("grid_phi", _triple, (-85.0, 2.0, 85.0))
     grid_coeffs = read("grid_coeffs", _list_of(_triple), ((-5.0, 0.5, 5.0),))
-    sources = read("sources", _list_of(_list_of(float)), ())
+    sources = read("sources", _list_of(_source), ())
     sweep = None
     if "sweep_kind" in data or "sweep_values" in data:
         if not ("sweep_kind" in data and "sweep_values" in data):

@@ -97,6 +97,7 @@ def test_run_without_sources_names_the_key(tmp_path):
     [
         ("sources: 5", "sources"),
         ("sources: [5]", "sources"),
+        ("sources: [[]]", "sources"),
         ("grid_phi: 5", "grid_phi"),
         ("grid_phi: [1, 2]", "grid_phi"),
         ("grid_coeffs: 5", "grid_coeffs"),
