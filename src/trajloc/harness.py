@@ -268,8 +268,7 @@ class _TickClock:
 
 
 def _trial_rows(task) -> list[TrialRow]:
-    config, sweep_name, value, trial, fake_clock = task
-    cell = materialize(config, sweep_name, value)
+    config, cell, sweep_name, value, trial, fake_clock = task
     seed = config.base_seed + trial
     blocks, truth = synthesize_block(
         cell.sources, cell.array, cell.snapshots, cell.snr_db, cell.frequencies, seed
@@ -327,11 +326,12 @@ def run_scenario(config: ScenarioConfig, n_jobs: int = 1, fake_clock: bool = Fal
     point without sources is refused before any trial runs.
     """
     sweep_name, values = sweep_points(config)
-    if not all(materialize(config, sweep_name, v).sources for v in values):
+    cells = [materialize(config, sweep_name, v) for v in values]
+    if not all(cell.sources for cell in cells):
         raise ValueError(f"scenario {config.name!r} has no sources; list them under 'sources'")
     tasks = [
-        (config, sweep_name, value, trial, fake_clock)
-        for value in values
+        (config, cell, sweep_name, value, trial, fake_clock)
+        for value, cell in zip(values, cells)
         for trial in range(config.trials)
     ]
     if n_jobs > 1:
@@ -360,6 +360,7 @@ ROW_HEADER = [
     "flags",
 ]
 
+# The first four aggregate columns are the row columns a group shares.
 AGG_HEADER = [
     "algorithm",
     "experiment",
@@ -382,13 +383,12 @@ def _fmt(x) -> str:
 
 
 def aggregate_csv_rows(dict_rows) -> list[dict]:
-    """Aggregate parsed row-CSV dictionaries per (algorithm, experiment,
-    sweep value): mean RMSE over detected sources, detection probability, and
-    mean per-invocation runtime."""
+    """Aggregate formatted row dictionaries (row-CSV column -> cell text) per
+    (algorithm, experiment, sweep value): mean RMSE over detected sources,
+    detection probability, and mean per-invocation runtime."""
     groups: dict[tuple, list[dict]] = {}
     for r in dict_rows:
-        key = (r["algorithm"], r["experiment"], r["sweep_name"], r["sweep_value"])
-        groups.setdefault(key, []).append(r)
+        groups.setdefault(tuple(r[c] for c in AGG_HEADER[:4]), []).append(r)
     out = []
     for key in sorted(groups, key=lambda k: (k[0], k[1], k[2], float(k[3]))):
         rows = groups[key]
@@ -397,60 +397,35 @@ def aggregate_csv_rows(dict_rows) -> list[dict]:
         runtimes = {}
         for r in rows:
             runtimes[r["trial"]] = float(r["runtime_ms"])
-        out.append(
-            {
-                "algorithm": key[0],
-                "experiment": key[1],
-                "sweep_name": key[2],
-                "sweep_value": key[3],
-                "mean_rmse_deg": _fmt(float(np.mean(rmses))) if rmses else "",
-                "pd": _fmt(len(detected) / len(rows)),
-                "mean_runtime_ms": _fmt(float(np.mean(sorted(runtimes.values())))),
-            }
+        stats = (
+            _fmt(float(np.mean(rmses))) if rmses else "",
+            _fmt(len(detected) / len(rows)),
+            _fmt(float(np.mean(sorted(runtimes.values())))),
         )
+        out.append(dict(zip(AGG_HEADER, key + stats)))
     return out
 
 
 def emit_results(report: TrialReport, out_dir: str):
     """Write rows.csv and aggregate.csv (UTF-8, LF, 6 significant digits).
 
-    The aggregate file is recomputed from the formatted row file, so
-    re-aggregating the row CSV reproduces it exactly.
+    The aggregate is computed from the formatted row cells, so re-aggregating
+    the row CSV reproduces it exactly.
     """
+    cells = [[_fmt(getattr(r, c)) for c in ROW_HEADER] for r in report.rows]
+    agg = aggregate_csv_rows(dict(zip(ROW_HEADER, row)) for row in cells)
+    tables = ((ROW_HEADER, cells), (AGG_HEADER, [[a[c] for c in AGG_HEADER] for a in agg]))
+    paths = (os.path.join(out_dir, "rows.csv"), os.path.join(out_dir, "aggregate.csv"))
     try:
         os.makedirs(out_dir, exist_ok=True)
-        rows_path = os.path.join(out_dir, "rows.csv")
-        agg_path = os.path.join(out_dir, "aggregate.csv")
-        with open(rows_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(ROW_HEADER)
-            for r in report.rows:
-                writer.writerow(
-                    [
-                        r.algorithm,
-                        r.experiment,
-                        r.sweep_name,
-                        _fmt(r.sweep_value),
-                        r.trial,
-                        r.source_id,
-                        _fmt(r.rmse_deg),
-                        _fmt(r.detected),
-                        _fmt(r.ospa),
-                        _fmt(r.runtime_ms),
-                        r.flags,
-                    ]
-                )
-        with open(rows_path, "r", encoding="utf-8", newline="") as fh:
-            parsed = list(csv.DictReader(fh))
-        agg = aggregate_csv_rows(parsed)
-        with open(agg_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(AGG_HEADER)
-            for a in agg:
-                writer.writerow([a[c] for c in AGG_HEADER])
+        for path, (header, table) in zip(paths, tables):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(table)
     except OSError as exc:
         raise OSError(f"cannot write results under {out_dir!r}: {exc}") from exc
-    return rows_path, agg_path
+    return paths
 
 
 def builtin_experiments() -> list[ScenarioConfig]:
