@@ -4,15 +4,18 @@ TL-SFW is the greedy (lambda = 0) sliding Frank-Wolfe solver for the
 Beurling-LASSO form of the observation model: per outer iteration it adds the
 best new trajectory (coarse-to-fine grid start + continuous local ascent),
 then jointly refines all trajectories found so far with their amplitudes
-eliminated by variable projection. The residual it carries forward is the
-plain fit residual.
+eliminated by variable projection.
 
 TL-NOMP adds one source per iteration with a single safeguarded Newton
 refinement, then cyclically re-refines every source found so far until the
-residual energy stops changing; its carried residual is the orthogonal
-projection of the data away from all selected steering vectors. The
-asymmetry between the two residual definitions is deliberate and follows the
-respective pseudo-codes.
+residual energy stops changing.
+
+Both carry the same residual to the next source as TL-OMP does: the data
+projected, at each snapshot, away from the span of the selected
+trajectories' steering vectors (`optim.project_all`). TL-SFW takes it from
+`joint_refine`; TL-NOMP re-projects the data after its cyclic sweeps. The
+one residual that is not a projection is TL-NOMP's cyclic ``R_star``,
+Y - sum_i A_i x_i with per-source matched-filter amplitudes x_i.
 
 Both estimators only need a grid start in the right basin, since continuous
 ascent, Newton steps and the joint refine finish the job. So neither scans
@@ -113,8 +116,8 @@ def tl_sfw(
     (ii) joint variable-projection refinement of every trajectory found so
     far, which eliminates the amplitudes at their exact least-squares
     optimum at every point it evaluates, so there is no separate amplitude
-    step. The residual carried to the next source is the fit residual at
-    the refined trajectories, as the refine returns it.
+    step. The residual carried to the next source is the data projected
+    away from the refined trajectories, as the refine returns it.
 
     Returns (list of K SourceEstimate, RunTrace).
     """
@@ -135,7 +138,7 @@ def tl_sfw(
         t2 = time.perf_counter()
         trace.add_time("local", t2 - t1)
 
-        # X: per-frequency (k, L); residuals: the fit residual at W
+        # X: per-frequency (k, L); residuals: the data projected away from W
         W, X, report, residuals = joint_refine(W, blocks, array, bounds)
         trace.refinements += report.iterations
         trace.fit_history.append((f"joint[{k}]", report.final_objective))

@@ -77,7 +77,7 @@ ESTIMATORS = {
     "tl-nomp": _run_nomp,
 }
 ALGORITHMS = tuple(ESTIMATORS)
-SWEEP_KINDS = ("snr_db", "snapshots", "phi_step", "zeta", "freq_count")
+SWEEP_KINDS = ("phi_step", "zeta", "freq_count")
 
 # Frequency sets processed together in the wideband experiment, keyed by F.
 WIDEBAND_SETS = {
@@ -133,6 +133,8 @@ class ScenarioConfig:
             raise ValueError("a scenario may sweep at most one axis")
         if self.sweep is not None:
             kind, values = self.sweep
+            if kind in ("snr_db", "snapshots"):
+                raise ValueError(f"sweep {kind} as a list under {kind!r}, not as a sweep kind")
             if kind not in SWEEP_KINDS:
                 raise ValueError(f"unknown sweep kind {kind!r}")
             if not values:

@@ -173,10 +173,10 @@ def doa_at_snapshot(params: TrajectoryParams, l: int, L: int) -> float:
     return float(doas(params, L)[l])
 
 
-def trajectory_in_bounds(params: TrajectoryParams, L: int, limit: float = 90.0) -> bool:
-    """True if every snapshot DOA stays strictly inside (-limit, +limit)."""
+def trajectory_in_bounds(params: TrajectoryParams, L: int) -> bool:
+    """True if every snapshot DOA stays strictly inside (-90, 90) degrees."""
     theta = doas(params, L)
-    return bool(np.all(np.abs(theta) < limit))
+    return bool(np.all(np.abs(theta) < 90.0))
 
 
 def steering_vector(theta: float, array: ArrayConfig, wavelength: float) -> np.ndarray:

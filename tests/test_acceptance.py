@@ -17,6 +17,7 @@ from trajloc import (
     TrajectoryModel,
     TrajectoryParams,
     build_grid,
+    doas,
     min_grid_rmse,
     ospa_assign,
     run_scenario,
@@ -144,9 +145,7 @@ def test_criterion_3_noiseless_exactness():
             src = TrajectoryParams(
                 model, rng.uniform(-70, 70), tuple(rng.uniform(-3.5, 3.5, model.n_params - 1))
             )
-            from trajloc.model import trajectory_in_bounds
-
-            if trajectory_in_bounds(src, L, limit=88.0):
+            if np.all(np.abs(doas(src, L)) < 88.0):
                 break
         blocks, _ = synthesize_block([src], array, L, None, seed=int(rng.integers(1 << 31)))
         for fn in (tl_sfw, tl_nomp):

@@ -36,9 +36,10 @@ def config_path(tmp_path):
 
 def test_list_command(capsys):
     assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    for name in ("snr", "snapshots", "grid-step", "wideband"):
-        assert name in out
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split(maxsplit=1) for line in lines]
+    assert [r[0] for r in rows] == [c.name for c in harness.builtin_experiments()]
+    assert all(len(r) == 2 for r in rows), lines  # every name has a description
 
 
 def test_oracle_matches_published_floors(capsys):

@@ -12,6 +12,7 @@ from trajloc.harness import (
     CONFIG_KEYS,
     ESTIMATORS,
     TrialReport,
+    TrialRow,
     aggregate_csv_rows,
     apply_overrides,
     builtin_experiment,
@@ -69,6 +70,11 @@ class TestConfigValidation:
     def test_trials_positive(self):
         with pytest.raises(ValueError):
             small_config(trials=0)
+
+    @pytest.mark.parametrize("kind", ["snr_db", "snapshots"])
+    def test_list_axis_refused_as_sweep_kind(self, kind):
+        with pytest.raises(ValueError, match=f"list under '{kind}'"):
+            small_config(sweep=(kind, (5.0,)))
 
 
 class TestMaterialize:
@@ -199,6 +205,17 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="sources"):
             run_scenario(small_config(sources=(), algorithms=algorithms))
 
+    def test_each_sweep_point_materialized_once(self, monkeypatch):
+        calls = []
+
+        def counting(config, sweep_name, value):
+            calls.append(value)
+            return materialize(config, sweep_name, value)
+
+        monkeypatch.setattr(harness, "materialize", counting)
+        run_scenario(small_config(snr_db=(0.0, 20.0), trials=3, algorithms=("tl-cbf",)), n_jobs=1)
+        assert calls == [0.0, 20.0]
+
     def test_snapshot_sweep(self):
         cfg = small_config(snapshots=(8, 16), snr_db=10.0, trials=1)
         report = run_scenario(cfg)
@@ -214,6 +231,30 @@ class TestEmitResults:
             "rmse_deg,detected,ospa,runtime_ms,flags\n"
         )
         assert open(agg_path).read().count("\n") == 1
+
+    def test_hand_built_report_pinned_text(self, tmp_path):
+        # a quoted experiment name, an empty rmse, both detected values, a
+        # float cut to 6 digits, flags, and sweep values that sort as numbers
+        name = 'snr, "quoted"'
+        rows = (
+            TrialRow(name, "tl-cbf", "snr_db", 5.0, 0, 0, 0.1234567, True, 1.5, 2.0, ""),
+            TrialRow(name, "tl-cbf", "snr_db", 5.0, 0, 1, None, False, 1.5, 2.0, "estimate-shortfall;numerics"),
+            TrialRow(name, "tl-cbf", "snr_db", 5.0, 1, 0, 12.5, False, 100.0, 4.25, ""),
+            TrialRow(name, "tl-cbf", "snr_db", 10.0, 0, 0, 0.5, True, 0.25, 1234567.0, "error:ValueError"),
+        )
+        rows_path, agg_path = emit_results(TrialReport(rows), str(tmp_path))
+        assert open(rows_path, newline="").read() == (
+            "algorithm,experiment,sweep_name,sweep_value,trial,source_id,rmse_deg,detected,ospa,runtime_ms,flags\n"
+            'tl-cbf,"snr, ""quoted""",snr_db,5,0,0,0.123457,1,1.5,2,\n'
+            'tl-cbf,"snr, ""quoted""",snr_db,5,0,1,,0,1.5,2,estimate-shortfall;numerics\n'
+            'tl-cbf,"snr, ""quoted""",snr_db,5,1,0,12.5,0,100,4.25,\n'
+            'tl-cbf,"snr, ""quoted""",snr_db,10,0,0,0.5,1,0.25,1.23457e+06,error:ValueError\n'
+        )
+        assert open(agg_path, newline="").read() == (
+            "algorithm,experiment,sweep_name,sweep_value,mean_rmse_deg,pd,mean_runtime_ms\n"
+            'tl-cbf,"snr, ""quoted""",snr_db,5,0.123457,0.333333,3.125\n'
+            'tl-cbf,"snr, ""quoted""",snr_db,10,0.5,1,1.23457e+06\n'
+        )
 
     def test_aggregate_recomputable_from_rows(self, tmp_path):
         cfg = small_config(trials=3, snr_db=(0.0, 20.0))
@@ -272,6 +313,12 @@ base_seed: 3
         path = tmp_path / "bad.yaml"
         path.write_text("name: x\nsnrdb: 5\n")
         with pytest.raises(ValueError, match="snrdb"):
+            load_config(str(path))
+
+    def test_list_axis_refused_as_sweep_kind(self, tmp_path):
+        path = tmp_path / "kind.yaml"
+        path.write_text("sources:\n  - [-11, 3.5]\nsweep_kind: snapshots\nsweep_values: [10, 20]\n")
+        with pytest.raises(ValueError, match="list under 'snapshots'"):
             load_config(str(path))
 
     def test_bandlimited_requires_nu(self, tmp_path):
