@@ -21,7 +21,7 @@ variable-projection `joint_refine` all call it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -247,14 +247,12 @@ def amplitudes_ls(trajectories, blocks, array: ArrayConfig):
     return project_all(trajectories, [b.data for b in blocks], array, block_wavelengths(array, blocks))[1]
 
 
-def _backtrack(value, u, d, g, base, bounds, physical, maximize):
-    """Projected Armijo backtracking along direction d. Returns (point, value)
-    with the guarantee value(point) is no worse than base; a candidate that
-    fails ``physical`` is a failed step and is not evaluated. The search
-    gives up, returning (u, base), once the clipped step is shorter than
-    `STEP_TOL`, which every caller counts as converged."""
+def _backtrack(value, u, d, g, base, bounds, physical):
+    """The one Armijo rule: projected backtracking down ``value`` (gradient g
+    at u) along d. Returns (point, value) with value(point) <= base; a
+    candidate failing ``physical`` is not evaluated. The search gives up,
+    returning (u, base), once the clipped step is shorter than `STEP_TOL`."""
     t = 1.0
-    sign = 1.0 if maximize else -1.0
     for _ in range(MAX_HALVINGS):
         cand = bounds.clip(u + t * d)
         step = cand - u
@@ -262,12 +260,30 @@ def _backtrack(value, u, d, g, base, bounds, physical, maximize):
             break
         if physical(cand):
             vc = value(cand)
-            gain = float(g @ step)
-            ok = vc >= base + ARMIJO * max(gain, 0.0) if maximize else vc <= base + ARMIJO * min(gain, 0.0)
-            if ok and (sign * (vc - base) >= 0.0):
+            if vc <= base + ARMIJO * min(float(g @ step), 0.0):
                 return cand, vc
         t *= BACKTRACK
     return u, base
+
+
+def _descend(value, direction, u, bounds, physical, max_iters):
+    """The one descent loop of every local search; an ascent passes its
+    negated objective. Each pass backtracks along ``direction(u) -> (gradient,
+    direction)``, so the value never rises. Stops once a step is shorter than
+    `STEP_TOL` or after ``max_iters`` passes. Returns (point, OptimReport)."""
+    E = value(u)
+    step_norms = []
+    objectives = []
+    for _ in range(max_iters):
+        g, d = direction(u)
+        u_new, E = _backtrack(value, u, d, g, E, bounds, physical)
+        step_norms.append(float(np.linalg.norm(u_new - u)))
+        objectives.append(E)
+        u = u_new
+        if step_norms[-1] < STEP_TOL:
+            break
+    converged = bool(step_norms) and step_norms[-1] < STEP_TOL
+    return u, OptimReport(len(step_norms), converged, E, tuple(step_norms), tuple(objectives))
 
 
 def maximize_local(
@@ -279,39 +295,29 @@ def maximize_local(
 ):
     """Box-constrained local ascent of the beam objective from ``omega0``.
 
-    Takes safeguarded Newton steps whenever the Hessian is negative definite
-    (so the quadratic model has a maximum), gradient-ascent steps otherwise,
-    with projected Armijo backtracking either way; a step leaving (-90, 90)
-    degrees fails. Stops when the parameter step drops below `STEP_TOL` or
-    after `LOCAL_MAX_ITERS` iterations; the returned objective is never
-    below the starting one.
+    `_descend` on the negated objective for at most `LOCAL_MAX_ITERS`
+    passes, along Newton steps whenever the Hessian is negative definite (so
+    the quadratic model has a maximum) and the gradient otherwise; the
+    returned objective is never below the starting one.
     """
     model = omega0.model
     u = bounds.clip(omega0.vector())
     physical = _physical(_doa_map(model, residuals[0].shape[1]))
-    value = lambda v: objective(TrajectoryParams.from_vector(model, v), residuals, array, wavelengths)
-    J = value(u)
-    step_norms = []
-    objectives = []
-    converged = False
-    for _ in range(LOCAL_MAX_ITERS):
+    loss = lambda v: -objective(TrajectoryParams.from_vector(model, v), residuals, array, wavelengths)
+
+    def newton_or_gradient(u):
         g, H = objective_grad_hess(
             TrajectoryParams.from_vector(model, u), residuals, array, wavelengths
         )
         try:
             np.linalg.cholesky(-H)
-            d = np.linalg.solve(-H, g)
+            return -g, np.linalg.solve(-H, g)
         except np.linalg.LinAlgError:
-            d = g
-        u_new, J_new = _backtrack(value, u, d, g, J, bounds, physical, maximize=True)
-        step = float(np.linalg.norm(u_new - u))
-        step_norms.append(step)
-        u, J = u_new, J_new
-        objectives.append(J)
-        if step < STEP_TOL:
-            converged = True
-            break
-    report = OptimReport(len(step_norms), converged, J, tuple(step_norms), tuple(objectives))
+            return -g, g
+
+    u, report = _descend(loss, newton_or_gradient, u, bounds, physical, LOCAL_MAX_ITERS)
+    objectives = tuple(-o for o in report.objectives)
+    report = replace(report, final_objective=-report.final_objective, objectives=objectives)
     return TrajectoryParams.from_vector(model, u), report
 
 
@@ -344,7 +350,7 @@ def newton_step(
     except np.linalg.LinAlgError:
         warnings.warn("singular Hessian; falling back to gradient step",
                       NumericsWarning, stacklevel=2)
-    u_new, _ = _backtrack(value, u, g, g, J0, bounds, physical, maximize=True)
+    u_new, _ = _backtrack(lambda v: -value(v), u, g, -g, -J0, bounds, physical)
     return TrajectoryParams.from_vector(model, u_new), False
 
 
@@ -383,9 +389,8 @@ def joint_refine(
     The model then differs from the Hessian of the fit error only by terms
     that vanish with the residual, so the iteration converges quadratically
     on noiseless data (`STEP_TOL` in a handful of steps) and fast where
-    the residual is small. Steps are safeguarded by projected Armijo
-    backtracking, which fails a step leaving (-90, 90) degrees; the returned
-    fit error never exceeds the starting one.
+    the residual is small. `_descend` takes the steps, so the returned fit
+    error never exceeds the starting one.
 
     Returns (trajectories, per-frequency amplitude arrays, OptimReport,
     per-frequency residual matrices): the residuals are the data projected
@@ -412,6 +417,7 @@ def joint_refine(
         return [TrajectoryParams.from_vector(model, u[i * D : (i + 1) * D]) for i in range(k)]
 
     last = None  # (fit error, trajectories, amplitudes, residuals, stacks) of the latest point
+    taken = None  # `last` at the latest direction's point; a rejected candidate overwrites `last`
 
     def fit_error(u):
         nonlocal last
@@ -420,13 +426,10 @@ def joint_refine(
         last = (0.5 * residual_energy(R), trajs, X, R, A)
         return last[0]
 
-    u = box.clip(np.concatenate([t.vector() for t in trajectories]))
-    fit_error(u)
-    E, trajs, X, R, A = last
-    step_norms = []
-    objectives = []
-    converged = False
-    for _ in range(max_iters):
+    def gauss_newton(u):
+        nonlocal taken
+        taken = last  # u, the start or an accepted candidate, was the last point evaluated
+        _, trajs, X, R, A = last
         g = np.zeros(k * D)
         H = np.zeros((k * D, k * D))
         theta = np.stack([doas(t, L) for t in trajs])  # (k, L)
@@ -448,20 +451,11 @@ def joint_refine(
             H += Hblk.reshape(k * D, k * D)
         mu = 1e-10 * max(float(np.trace(H)) / (k * D), 1.0)
         try:
-            d = np.linalg.solve(H + mu * np.eye(k * D), -g)
+            return g, np.linalg.solve(H + mu * np.eye(k * D), -g)
         except np.linalg.LinAlgError:
-            d = -g
-        u_new, _ = _backtrack(fit_error, u, d, g, E, box, physical, maximize=False)
-        step = float(np.linalg.norm(u_new - u))
-        step_norms.append(step)
-        if step < STEP_TOL:
-            # returned state stays at u; u_new is within STEP_TOL of it
-            objectives.append(E)
-            converged = True
-            break
-        # an accepted point is the last one _backtrack evaluated
-        u = u_new
-        E, trajs, X, R, A = last
-        objectives.append(E)
-    report = OptimReport(len(step_norms), converged, E, tuple(step_norms), tuple(objectives))
+            return g, -g
+
+    u = box.clip(np.concatenate([t.vector() for t in trajectories]))
+    _, report = _descend(fit_error, gauss_newton, u, box, physical, max_iters)
+    _, trajs, X, R, _ = taken if report.converged else last
     return trajs, X, report, R

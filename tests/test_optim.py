@@ -290,20 +290,22 @@ class TestNewtonStep:
 
 
 class TestBacktrack:
-    @pytest.mark.parametrize("maximize", [True, False])
-    def test_failing_search_stops_at_step_tol(self, maximize):
-        # every candidate is worse than the start: the search halves down to
-        # STEP_TOL, never evaluates a shorter step, and returns the start
+    @pytest.mark.parametrize("ascent", [False, True])
+    def test_failing_search_stops_at_step_tol(self, ascent):
+        # every candidate is worse than the start's 0: the search halves down
+        # to STEP_TOL, never evaluates a shorter step, and returns the start.
+        # An ascent passes its negated objective and gradient.
         u = np.array([10.0, 1.0])
         d = np.array([3.0, -0.5])
+        sign = -1.0 if ascent else 1.0
         evaluated = []
 
-        def value(v):
+        def f(v):
             evaluated.append(v.copy())
-            return -1.0 if maximize else 1.0
+            return sign  # below the start for an ascent, above it for a descent
 
         bounds = Bounds((-89.0, -6.0), (89.0, 6.0))
-        point, val = _backtrack(value, u, d, d, 0.0, bounds, lambda v: True, maximize)
+        point, val = _backtrack(lambda v: sign * f(v), u, d, sign * d, 0.0, bounds, lambda v: True)
         assert np.array_equal(point, u) and val == 0.0
         lengths = [np.linalg.norm(v - u) for v in evaluated]
         assert min(lengths) >= STEP_TOL > min(lengths) * BACKTRACK
