@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import DEG, TrajectoryModel, TrajectoryParams, trajectory_basis
+from .model import DEG, TrajectoryModel, TrajectoryParams, doa_map
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,7 @@ def param_matrix(grid: ParamGrid) -> np.ndarray:
 def doa_table(grid: ParamGrid, L: int) -> np.ndarray:
     """DOA in degrees of every grid trajectory at every snapshot, shape (M, L)."""
     pm = param_matrix(grid)
-    basis = trajectory_basis(grid.model, L)
-    theta = pm[:, :1] + pm[:, 1:] @ basis
+    theta = pm[:, :1] + pm[:, 1:] @ doa_map(grid.model, L)[1:]
     theta.setflags(write=False)
     return theta
 

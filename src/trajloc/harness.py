@@ -139,9 +139,10 @@ class ScenarioConfig:
                 raise ValueError(f"unknown sweep kind {kind!r}")
             if not values:
                 raise ValueError("sweep values must be non-empty")
-        for name, values in (("snr_db", self.snr_db), ("snapshots", self.snapshots)):
+        for name in ("snr_db", "snapshots", "frequencies"):
+            values = getattr(self, name)
             if isinstance(values, tuple) and not values:
-                raise ValueError(f"{name} sweep must be non-empty")
+                raise ValueError(f"{name}: must not be empty")
         if "tl-sbl" in self.algorithms and self._may_be_wideband():
             raise ValueError("tl-sbl supports narrowband (or single-frequency) data only")
 

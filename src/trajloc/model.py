@@ -9,6 +9,7 @@ across the block along a polynomial or bandlimited trajectory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -159,11 +160,17 @@ class TrajectoryParams:
         return cls(model, vec[0], tuple(vec[1:]))
 
 
+@lru_cache(maxsize=8)
+def doa_map(model: TrajectoryModel, L: int) -> np.ndarray:
+    """Read-only (n_params, L) matrix T of the snapshot DOAs theta = params @ T."""
+    T = np.vstack([np.ones(L), trajectory_basis(model, L)])
+    T.setflags(write=False)
+    return T
+
+
 def doas(params: TrajectoryParams, L: int) -> np.ndarray:
     """DOA in degrees at every snapshot of an L-length block."""
-    basis = trajectory_basis(params.model, L)
-    theta = params.phi + np.asarray(params.coeffs) @ basis if params.coeffs else np.full(L, params.phi)
-    return np.asarray(theta, dtype=float)
+    return params.phi + np.asarray(params.coeffs, dtype=float) @ doa_map(params.model, L)[1:]
 
 
 def doa_at_snapshot(params: TrajectoryParams, l: int, L: int) -> float:

@@ -16,13 +16,15 @@ callers pass one residual matrix and one wavelength per frequency.
 stacks of the selected trajectories, every snapshot fitted in their span,
 and the amplitudes and residuals. TL-OMP, TL-NOMP, `amplitudes_ls` and the
 variable-projection `joint_refine` all call it.
+
+`_descend` is the one descent loop of every local search and `_backtrack`
+its one Armijo rule, to which an ascent passes the negated beam objective.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,8 +34,8 @@ from .model import (
     ArrayConfig,
     TrajectoryParams,
     block_wavelengths,
+    doa_map,
     doas,
-    trajectory_basis,
     trajectory_steering_matrix,
 )
 
@@ -87,6 +89,11 @@ class Bounds:
 
 @dataclass(frozen=True)
 class OptimReport:
+    """What one local search did: ``iterations`` counts its backtracking
+    searches, ``converged`` means the last step was shorter than `STEP_TOL`.
+    ``final_objective`` and ``objectives`` are in the caller's sense: beam
+    power for `maximize_local`, half the squared residual for `joint_refine`."""
+
     iterations: int
     converged: bool
     final_objective: float
@@ -97,14 +104,6 @@ class OptimReport:
 def _phase_scale(array: ArrayConfig, wavelength: float) -> float:
     # 2*pi*d/lambda, the per-sensor phase increment at sin(theta) = 1
     return 2.0 * np.pi * array.spacing / wavelength
-
-
-@lru_cache(maxsize=8)
-def _doa_map(model, L: int) -> np.ndarray:
-    """Read-only (D, L) matrix T of the snapshot DOAs theta = params @ T."""
-    T = np.vstack([np.ones(L), trajectory_basis(model, L)])
-    T.setflags(write=False)
-    return T
 
 
 def _physical(T: np.ndarray):
@@ -146,7 +145,7 @@ def objective_grad_hess(params: TrajectoryParams, residuals, array: ArrayConfig,
     """
     L = residuals[0].shape[1]
     theta = doas(params, L)
-    T = _doa_map(params.model, L)  # rows: d theta_l / d parameter
+    T = doa_map(params.model, L)  # rows: d theta_l / d parameter
     cos_t = np.cos(theta * DEG)
     sin_t = np.sin(theta * DEG)
     D = T.shape[0]
@@ -302,7 +301,7 @@ def maximize_local(
     """
     model = omega0.model
     u = bounds.clip(omega0.vector())
-    physical = _physical(_doa_map(model, residuals[0].shape[1]))
+    physical = _physical(doa_map(model, residuals[0].shape[1]))
     loss = lambda v: -objective(TrajectoryParams.from_vector(model, v), residuals, array, wavelengths)
 
     def newton_or_gradient(u):
@@ -337,7 +336,7 @@ def newton_step(
     """
     model = omega.model
     u = bounds.clip(omega.vector())
-    physical = _physical(_doa_map(model, residuals[0].shape[1]))
+    physical = _physical(doa_map(model, residuals[0].shape[1]))
     value = lambda v: objective(TrajectoryParams.from_vector(model, v), residuals, array, wavelengths)
     J0 = value(u)
     g, H = objective_grad_hess(
@@ -407,21 +406,18 @@ def joint_refine(
     L = blocks[0].snapshots
     wavelengths = block_wavelengths(array, blocks)
     data = [b.data for b in blocks]
-    T = _doa_map(model, L)
+    T = doa_map(model, L)
     physical = _physical(T)
     lows = np.tile(bounds.lows, k)
     highs = np.tile(bounds.highs, k)
     box = Bounds(tuple(lows), tuple(highs))
-
-    def split(u):
-        return [TrajectoryParams.from_vector(model, u[i * D : (i + 1) * D]) for i in range(k)]
 
     last = None  # (fit error, trajectories, amplitudes, residuals, stacks) of the latest point
     taken = None  # `last` at the latest direction's point; a rejected candidate overwrites `last`
 
     def fit_error(u):
         nonlocal last
-        trajs = split(u)
+        trajs = [TrajectoryParams.from_vector(model, v) for v in u.reshape(k, D)]
         A, X, R = project_all(trajs, data, array, wavelengths)
         last = (0.5 * residual_energy(R), trajs, X, R, A)
         return last[0]

@@ -105,6 +105,7 @@ def test_run_without_sources_names_the_key(tmp_path):
         ("sweep_kind: zeta\nsweep_values: 5", "sweep_values"),
         ("snapshots: [a]", "snapshots"),
         ("model: bandlimited\nnu: [1]", "nu"),
+        ("frequencies: []", "frequencies"),
     ],
 )
 def test_run_names_a_wrong_shaped_key(tmp_path, text, key):

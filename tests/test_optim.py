@@ -243,6 +243,23 @@ class TestLocalAscent:
             seq = report.objectives
             assert all(b >= a - 1e-12 for a, b in zip(seq, seq[1:]))
 
+    @pytest.mark.parametrize("max_iters", [None, 2])
+    def test_report_in_beam_power(self, array, monkeypatch, max_iters):
+        # the descent runs on the negated objective; the report flips it
+        # back, bit for bit, whether the ascent converged or was cut short
+        from trajloc import optim
+
+        if max_iters is not None:
+            monkeypatch.setattr(optim, "LOCAL_MAX_ITERS", max_iters)
+        src = TrajectoryParams(LINEAR, 20.7, (1.73,))
+        blocks, _ = synthesize_block([src], array, 30, 0.0, seed=6)
+        lams = block_wavelengths(array, blocks)
+        start = TrajectoryParams(LINEAR, 23.0, (1.0,))
+        out, report = maximize_local(start, [blocks[0].data], array, lams, self.bounds())
+        assert report.converged == (max_iters is None)
+        assert report.final_objective == objective(out, [blocks[0].data], array, lams)
+        assert report.objectives[-1] == report.final_objective
+
     def test_result_respects_bounds(self, array):
         rng = np.random.default_rng(8)
         lams = [wavelength_for(array, None)]
@@ -399,6 +416,7 @@ class TestJointRefine:
         _, _, report, _ = joint_refine(start, blocks, array, self.bounds(), max_iters=1)
         F, k = len(freqs), len(start)
         assert report.iterations == 1 and report.step_norms[0] > 0
+        assert report.objectives[-1] == report.final_objective
         assert calls == {"batched_snapshot_ls": 3 * F, "trajectory_steering_matrix": 2 * k * F}
 
     @pytest.mark.parametrize("max_iters", [0, 100])
