@@ -53,7 +53,7 @@ def load_block(path: str) -> tuple[ObservationBlock, int | None]:
     arr = np.array(data, dtype=complex)
     if arr.shape != (header["n_sensors"], header["snapshots"]):
         raise ValueError(f"{path}: data shape {arr.shape} does not match header")
-    return ObservationBlock(arr, header["frequency"], header["snapshots"]), header["seed"]
+    return ObservationBlock(arr, header["frequency"]), header["seed"]
 
 
 def _model_dict(model: TrajectoryModel) -> dict:

@@ -100,6 +100,7 @@ def _check_blocks(blocks, array: ArrayConfig, K: int | None = None) -> tuple[flo
 
 
 SBL_TOL = 1e-3  # TL-SBL's stop: largest gamma change / largest gamma
+SBL_MAX_ITERS = 500
 PEAK_EXCESS = 2  # spectrum methods report K + PEAK_EXCESS peaks for K sources
 
 # Bytes of one (rows, L) complex block of the scan: two of them (phasors and
@@ -279,7 +280,6 @@ def tl_sbl(
     array: ArrayConfig,
     K: int,
     noise_variance: float,
-    max_iters: int = 500,
 ):
     """Sparse-Bayesian-learning spectrum over the trajectory grid (narrowband).
 
@@ -290,7 +290,7 @@ def tl_sbl(
 
     with per-snapshot covariances S_l = sigma_n^2 I + sum_m gamma_m a_lm
     a_lm^H, starting from gamma = 1, until the largest gamma change relative
-    to the largest gamma drops below `SBL_TOL` or ``max_iters`` is reached
+    to the largest gamma drops below `SBL_TOL` or `SBL_MAX_ITERS` is reached
     (non-convergence warns, never raises). Returns the final gamma vector as
     a Spectrum together with its K + `PEAK_EXCESS` strongest peaks.
 
@@ -327,7 +327,7 @@ def tl_sbl(
 
     gamma = np.ones(M)
     converged = False
-    for _ in range(max_iters):
+    for _ in range(SBL_MAX_ITERS):
         r = (A_flat @ gamma).reshape(L, N)
         # lags -(N-1) .. N-1 of each snapshot's Hermitian Toeplitz covariance
         t = np.concatenate([np.conj(r[:, :0:-1]), r], axis=1)
@@ -347,7 +347,7 @@ def tl_sbl(
             break
     if not converged:
         warnings.warn(
-            f"TL-SBL did not converge within {max_iters} iterations",
+            f"TL-SBL did not converge within {SBL_MAX_ITERS} iterations",
             NumericsWarning,
             stacklevel=2,
         )

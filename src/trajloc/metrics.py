@@ -35,7 +35,7 @@ class Assignment:
 
     ``pairs`` holds (true_index, estimate_index, cutoff_distance) in
     increasing true index, each true index at most once (min(K, K_hat)
-    pairs); distances are already clipped at the cutoff ``c``. The indices
+    pairs); distances are already clipped at the cutoff `OSPA_C`. The indices
     left out of ``pairs`` are listed as unassigned.
     """
 
@@ -45,14 +45,14 @@ class Assignment:
     unassigned_truths: tuple[int, ...]
 
 
-def ospa_assign(true_set, est_set, L: int, p: int = OSPA_P, c: float = OSPA_C) -> Assignment:
+def ospa_assign(true_set, est_set, L: int) -> Assignment:
     """Optimal subpattern assignment between K true and K_hat estimated
     trajectories over a block of L snapshots.
 
-    The K x K_hat cost matrix holds ``min(c, rmse)**p``; the smaller set is
-    injected into the larger one by exact rectangular assignment (OSPA is
-    symmetric, so K > K_hat transposes the problem), and the metric adds
-    the cardinality penalty ``|K_hat - K| * c**p`` before the 1/p root.
+    The K x K_hat cost matrix holds ``min(c, rmse)**p`` (c = `OSPA_C`, p =
+    `OSPA_P`); the smaller set is injected into the larger one by exact
+    rectangular assignment (OSPA is symmetric, so K > K_hat transposes the
+    problem); the cardinality penalty ``|K_hat - K| * c**p`` precedes the 1/p root.
     """
     true_set = list(true_set)
     est_set = list(est_set)
@@ -63,33 +63,33 @@ def ospa_assign(true_set, est_set, L: int, p: int = OSPA_P, c: float = OSPA_C) -
     cost = np.empty((K, Khat))
     for i, t in enumerate(true_set):
         for j, e in enumerate(est_set):
-            cost[i, j] = min(c, trajectory_rmse(t, e, L)) ** p
+            cost[i, j] = min(OSPA_C, trajectory_rmse(t, e, L)) ** OSPA_P
     if K <= Khat:
         rows, cols = linear_sum_assignment(cost)
     else:
         cols, rows = linear_sum_assignment(cost.T)
     pairs = tuple(
-        sorted((int(i), int(j), float(cost[i, j] ** (1.0 / p))) for i, j in zip(rows, cols))
+        sorted((int(i), int(j), float(cost[i, j] ** (1.0 / OSPA_P))) for i, j in zip(rows, cols))
     )
-    total = float(cost[rows, cols].sum()) + abs(Khat - K) * c**p
-    ospa = (total / max(K, Khat)) ** (1.0 / p)
+    total = float(cost[rows, cols].sum()) + abs(Khat - K) * OSPA_C**OSPA_P
+    ospa = (total / max(K, Khat)) ** (1.0 / OSPA_P)
     unassigned = tuple(sorted(set(range(Khat)) - set(cols.tolist())))
     missed = tuple(sorted(set(range(K)) - set(rows.tolist())))
     return Assignment(pairs, float(ospa), unassigned, missed)
 
 
-def detection_stats(assignment: Assignment, threshold: float = DETECTION_THRESHOLD):
+def detection_stats(assignment: Assignment):
     """Probability of detection and mean RMSE of the detected sources.
 
     A true source counts as detected when its assigned distance is strictly
-    below the threshold; an unassigned one (K > K_hat) is missed. With no
+    below `DETECTION_THRESHOLD`; an unassigned one (K > K_hat) is missed. With no
     detections the RMSE is ``None`` (absent, not zero).
     """
     if not assignment.pairs:
         return 0.0, None
     missed = [np.inf] * len(assignment.unassigned_truths)
     dists = np.array([d for _, _, d in assignment.pairs] + missed)
-    detected = dists < threshold
+    detected = dists < DETECTION_THRESHOLD
     pd = float(np.mean(detected))
     if not detected.any():
         return pd, None

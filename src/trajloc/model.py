@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 DEG = np.pi / 180.0
+SOUND_SPEED = 343.0  # m/s; a wideband block's wavelength is SOUND_SPEED / f
 
 POLYNOMIAL = "polynomial"
 BANDLIMITED = "bandlimited"
@@ -26,23 +27,22 @@ class ArrayConfig:
     ``spacing`` is the inter-sensor distance in meters. Narrowband processing
     never needs an absolute wavelength: the array is taken to operate at
     half-wavelength spacing, i.e. the narrowband wavelength is ``2 * spacing``.
-    Wideband runs derive per-frequency wavelengths from ``propagation_speed``.
+    Wideband runs derive per-frequency wavelengths from `SOUND_SPEED`; every
+    phase depends on d/lambda only, and `for_frequencies` spaces the array at
+    ``SOUND_SPEED / (2 * max(f))``, so the speed cancels out of it.
     """
 
     n_sensors: int
     spacing: float = 0.5
-    propagation_speed: float = 343.0
 
     def __post_init__(self):
         if self.n_sensors < 2:
             raise ValueError("ULA needs at least 2 sensors")
         if self.spacing <= 0:
             raise ValueError("sensor spacing must be positive")
-        if self.propagation_speed <= 0:
-            raise ValueError("propagation speed must be positive")
 
     @classmethod
-    def for_frequencies(cls, n_sensors: int, frequencies, propagation_speed: float = 343.0):
+    def for_frequencies(cls, n_sensors: int, frequencies):
         """Spacing set to half the wavelength of the highest frequency.
 
         The highest band then sits exactly at the spatial Nyquist limit and
@@ -51,7 +51,7 @@ class ArrayConfig:
         fmax = max(frequencies)
         if fmax <= 0:
             raise ValueError("frequencies must be positive")
-        return cls(n_sensors, propagation_speed / fmax / 2.0, propagation_speed)
+        return cls(n_sensors, SOUND_SPEED / fmax / 2.0)
 
 
 def wavelength_for(array: ArrayConfig, frequency: float | None) -> float:
@@ -60,7 +60,7 @@ def wavelength_for(array: ArrayConfig, frequency: float | None) -> float:
         return 2.0 * array.spacing
     if frequency <= 0:
         raise ValueError("frequency must be positive")
-    return array.propagation_speed / frequency
+    return SOUND_SPEED / frequency
 
 
 def block_wavelengths(array: ArrayConfig, blocks) -> tuple[float, ...]:
@@ -215,17 +215,12 @@ class ObservationBlock:
 
     data: np.ndarray
     frequency: float | None
-    snapshots: int
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=complex)
         object.__setattr__(self, "data", data)
         if data.ndim != 2:
             raise ValueError("observation data must be a 2-D matrix")
-        if data.shape[1] != self.snapshots:
-            raise ValueError(
-                f"data has {data.shape[1]} columns but snapshots={self.snapshots}"
-            )
         bad = np.argwhere(~np.isfinite(data))
         if bad.size:
             n, l = bad[0]
@@ -237,6 +232,10 @@ class ObservationBlock:
     @property
     def n_sensors(self) -> int:
         return self.data.shape[0]
+
+    @property
+    def snapshots(self) -> int:
+        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
@@ -290,7 +289,7 @@ def synthesize_block(
     for f in freqs:
         if f is None:
             continue
-        half_wave = array.propagation_speed / f / 2.0
+        half_wave = SOUND_SPEED / f / 2.0
         if array.spacing > half_wave * (1.0 + 1e-12):
             raise ValueError(
                 f"spacing {array.spacing} m aliases at {f} Hz "
@@ -326,6 +325,6 @@ def synthesize_block(
                 rng.standard_normal((array.n_sensors, L))
                 + 1j * rng.standard_normal((array.n_sensors, L))
             )
-        blocks.append(ObservationBlock(Y, f, L))
+        blocks.append(ObservationBlock(Y, f))
     truth = GroundTruth(sources, amps, noise_variance, signal_variance)
     return blocks, truth

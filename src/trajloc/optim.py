@@ -44,6 +44,7 @@ BACKTRACK = 0.5
 MAX_HALVINGS = 60
 STEP_TOL = 1e-10  # an ascent or refine stops at a shorter parameter step
 LOCAL_MAX_ITERS = 100
+JOINT_MAX_ITERS = 100
 PHI_LIMIT = 89.0  # |phi| bound of `Bounds.from_grid`, inside the model's range
 
 
@@ -372,7 +373,6 @@ def joint_refine(
     blocks,
     array: ArrayConfig,
     bounds: Bounds,
-    max_iters: int = 100,
 ):
     """Jointly refine k trajectories against the raw blocks, amplitudes
     eliminated by variable projection.
@@ -388,8 +388,8 @@ def joint_refine(
     The model then differs from the Hessian of the fit error only by terms
     that vanish with the residual, so the iteration converges quadratically
     on noiseless data (`STEP_TOL` in a handful of steps) and fast where
-    the residual is small. `_descend` takes the steps, so the returned fit
-    error never exceeds the starting one.
+    the residual is small. `_descend` takes at most `JOINT_MAX_ITERS` steps,
+    so the returned fit error never exceeds the starting one.
 
     Returns (trajectories, per-frequency amplitude arrays, OptimReport,
     per-frequency residual matrices): the residuals are the data projected
@@ -452,6 +452,6 @@ def joint_refine(
             return g, -g
 
     u = box.clip(np.concatenate([t.vector() for t in trajectories]))
-    _, report = _descend(fit_error, gauss_newton, u, box, physical, max_iters)
+    _, report = _descend(fit_error, gauss_newton, u, box, physical, JOINT_MAX_ITERS)
     _, trajs, X, R, _ = taken if report.converged else last
     return trajs, X, report, R

@@ -29,6 +29,7 @@ from trajloc import (
     trajectory_rmse,
 )
 from trajloc.harness import builtin_experiment
+from trajloc.metrics import OSPA_C, OSPA_P
 from trajloc.model import trajectory_steering_matrix, wavelength_for
 from trajloc.optim import batched_snapshot_ls, objective, objective_grad_hess
 
@@ -244,15 +245,14 @@ def test_criterion_6_ospa_matches_enumeration():
         Khat = int(rng.integers(K, 6))
         T = [TrajectoryParams(LINEAR, rng.uniform(-80, 80), (rng.uniform(-5, 5),)) for _ in range(K)]
         E = [TrajectoryParams(LINEAR, rng.uniform(-80, 80), (rng.uniform(-5, 5),)) for _ in range(Khat)]
-        got = ospa_assign(T, E, p=2, c=100.0, L=30).ospa
+        got = ospa_assign(T, E, L=30).ospa
         want = brute(T, E, 2, 100.0, 30)
         worst = max(worst, abs(got - want))
     same = TrajectoryParams(LINEAR, 4.0, (1.0,))
     identical = ospa_assign([same], [same], L=30).ospa
-    half_penalty = ospa_assign(
-        [same], [same, TrajectoryParams(LINEAR, -70.0, (0.0,))], p=2, c=100.0, L=30
-    ).ospa
-    ok = worst < 1e-9 and identical == 0.0 and abs(half_penalty - 70.711) < 1e-3
+    half_penalty = ospa_assign([same], [same, TrajectoryParams(LINEAR, -70.0, (0.0,))], L=30).ospa
+    ok = (OSPA_P, OSPA_C) == (2, 100.0) and worst < 1e-9 and identical == 0.0
+    ok = ok and abs(half_penalty - 70.711) < 1e-3
     check(
         6,
         "OSPA equals brute-force enumeration (100 random sets, K,Khat <= 5); anchors 0 and 70.711",

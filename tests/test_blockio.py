@@ -30,7 +30,7 @@ def test_round_trip_exotic_floats(tmp_path_factory, values):
     real = np.array(values[:4], dtype=float).reshape(2, 2)
     imag = np.array(values[4:], dtype=float).reshape(2, 2)
     data = real + 1j * imag
-    block = ObservationBlock(data, 1600.0, 2)
+    block = ObservationBlock(data, 1600.0)
     path = tmp_path_factory.mktemp("b") / "x.csv"
     save_block(block, str(path), seed=0)
     loaded, _ = load_block(str(path))

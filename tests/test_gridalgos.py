@@ -2,6 +2,7 @@ import os
 import threading
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -99,11 +100,15 @@ def reference_sbl(blocks, grid, array, noise_variance, tol=1e-3, max_iters=500):
     return gamma, max_iters, False
 
 
-def quiet_sbl(*args, **kwargs):
-    """tl_sbl with its non-convergence warning recorded: (spectrum, peaks, warned)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", NumericsWarning)
-        spec, peaks = tl_sbl(*args, **kwargs)
+def quiet_sbl(*args, max_iters=gridalgos.SBL_MAX_ITERS):
+    """tl_sbl with `SBL_MAX_ITERS` patched to ``max_iters`` and its
+    non-convergence warning recorded: (spectrum, peaks, warned). It patches
+    with `mock.patch.object`, as hypothesis tests cannot take the
+    function-scoped ``monkeypatch`` fixture."""
+    with mock.patch.object(gridalgos, "SBL_MAX_ITERS", max_iters):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", NumericsWarning)
+            spec, peaks = tl_sbl(*args)
     return spec, peaks, any(issubclass(w.category, NumericsWarning) for w in caught)
 
 
@@ -195,7 +200,7 @@ class TestGridBeamPower:
         corner = linear_grid.size - 1
         lam = wavelength_for(array, None)
         Y = trajectory_steering_matrix(grid_point(linear_grid, corner), array, 30, lam)
-        blocks = [ObservationBlock(Y, None, 30)]
+        blocks = [ObservationBlock(Y, None)]
         unmasked = reference_beam_power([Y], linear_grid, array, (lam,))
         assert int(np.argmax(unmasked)) == corner
         mask = nonphysical_mask(linear_grid, 30)
@@ -293,7 +298,7 @@ class TestParallelScan:
 
 class TestCbfSpectrum:
     def test_zero_data_gives_zero_spectrum(self, array, linear_grid):
-        block = ObservationBlock(np.zeros((10, 30), complex), None, 30)
+        block = ObservationBlock(np.zeros((10, 30), complex), None)
         spec = tl_cbf_spectrum([block], linear_grid, array)
         assert np.all(spec.values == 0.0)
 
@@ -309,7 +314,7 @@ class TestCbfSpectrum:
     def test_values_non_negative(self, array, linear_grid):
         rng = np.random.default_rng(2)
         block = ObservationBlock(
-            rng.standard_normal((10, 30)) + 1j * rng.standard_normal((10, 30)), None, 30
+            rng.standard_normal((10, 30)) + 1j * rng.standard_normal((10, 30)), None
         )
         spec = tl_cbf_spectrum([block], linear_grid, array)
         assert np.all(spec.values >= 0.0)
@@ -326,8 +331,8 @@ class TestCbfSpectrum:
         )
 
     def test_rejects_mismatched_blocks(self, array, linear_grid):
-        b1 = ObservationBlock(np.zeros((10, 30), complex), None, 30)
-        b2 = ObservationBlock(np.zeros((10, 20), complex), None, 20)
+        b1 = ObservationBlock(np.zeros((10, 30), complex), None)
+        b2 = ObservationBlock(np.zeros((10, 20), complex), None)
         with pytest.raises(ValueError):
             tl_cbf_spectrum([b1, b2], linear_grid, array)
 
@@ -429,10 +434,11 @@ class TestTlOmp:
 
 
 class TestTlSbl:
-    def test_first_iteration_positive(self, array, linear_grid, four_sources):
+    def test_first_iteration_positive(self, array, linear_grid, four_sources, monkeypatch):
         blocks, _ = synthesize_block(four_sources, array, 30, 5.0, seed=6)
+        monkeypatch.setattr(gridalgos, "SBL_MAX_ITERS", 1)
         with pytest.warns(NumericsWarning):
-            spec, _ = tl_sbl(blocks, linear_grid, array, 4, 10 ** (-0.5), max_iters=1)
+            spec, _ = tl_sbl(blocks, linear_grid, array, 4, 10 ** (-0.5))
         assert np.all(spec.values > 0.0)
 
     def test_strong_single_source_argmax(self, array, linear_grid):
@@ -445,12 +451,8 @@ class TestTlSbl:
             assert peaks.entries[0][0].vector().tolist() == [-11.0, 3.5]
 
     def test_gamma_non_negative(self, array, linear_grid, four_sources):
-        import warnings
-
         blocks, truth = synthesize_block(four_sources, array, 30, 0.0, seed=7)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NumericsWarning)
-            spec, _ = tl_sbl(blocks, linear_grid, array, 4, truth.noise_variance, max_iters=60)
+        spec, _, _ = quiet_sbl(blocks, linear_grid, array, 4, truth.noise_variance, max_iters=60)
         assert np.all(spec.values >= 0.0)
 
     def test_narrowband_only(self, linear_grid):
@@ -518,7 +520,7 @@ def _sbl_gammas(seed, transform):
     blocks, truth = synthesize_block(sources, array, 30, 10.0, seed=seed)
     Y = blocks[0].data
     return [
-        quiet_sbl([ObservationBlock(data, None, 30)], SYMMETRIC_GRID, array, 2,
+        quiet_sbl([ObservationBlock(data, None)], SYMMETRIC_GRID, array, 2,
                   truth.noise_variance, max_iters=4)[0].values
         for data in (Y, transform(Y))
     ]
@@ -544,7 +546,7 @@ class TestTlSblProperties:
     def test_permuted_sources_leave_gamma_unchanged(self, seed, order):
         noise_variance, datas = source_order_pair(seed, order, snr_db=10.0)
         g0, g1 = [
-            quiet_sbl([ObservationBlock(data, None, 30)], SYMMETRIC_GRID, ArrayConfig(10), 3,
+            quiet_sbl([ObservationBlock(data, None)], SYMMETRIC_GRID, ArrayConfig(10), 3,
                       noise_variance, max_iters=4)[0].values
             for data in datas
         ]
@@ -571,7 +573,7 @@ def _grid_sets_of(datas, K):
     array = ArrayConfig(10)
     peaks, estimates = [], []
     for data in datas:
-        b = [ObservationBlock(data, None, 30)]
+        b = [ObservationBlock(data, None)]
         peaks.append({tuple(p.vector()) for p in find_peaks(tl_cbf_spectrum(b, SYMMETRIC_GRID, array), K + 2).params})
         estimates.append({tuple(e.params.vector()) for e in tl_omp(b, SYMMETRIC_GRID, array, K)[0]})
     return peaks, estimates

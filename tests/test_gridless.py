@@ -182,7 +182,7 @@ class TestCoarseStarts:
     def test_zero_data_flags_coarse_peak_shortfall(self, array, linear_grid, estimator):
         # a zero residual has a zero beam-power field, which holds no peaks;
         # the start falls back to the first physical grid point
-        block = ObservationBlock(np.zeros((10, 30), complex), None, 30)
+        block = ObservationBlock(np.zeros((10, 30), complex), None)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             estimates, trace = estimator([block], linear_grid, array, 2)
@@ -225,7 +225,7 @@ def _gridless_pairs(seed, transform):
     blocks, _ = synthesize_block(sources, array, 30, 20.0, seed=seed)
     Y = blocks[0].data
     return [
-        [estimator([ObservationBlock(data, None, 30)], SYMMETRIC_GRID, array, 2)[0]
+        [estimator([ObservationBlock(data, None)], SYMMETRIC_GRID, array, 2)[0]
          for data in (Y, transform(Y))]
         for estimator in (tl_sfw, tl_nomp)
     ]
@@ -269,7 +269,7 @@ class TestGridlessProperties:
         _, datas = source_order_pair(seed, order)
         for estimator in (tl_sfw, tl_nomp):
             plain, permuted = [
-                estimator([ObservationBlock(data, None, 30)], SYMMETRIC_GRID, ArrayConfig(10), 3)[0]
+                estimator([ObservationBlock(data, None)], SYMMETRIC_GRID, ArrayConfig(10), 3)[0]
                 for data in datas
             ]
             assert matched_rmse(plain, permuted, 30) < 1e-6

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajloc import ScenarioConfig, TrajectoryModel, emit_results, harness, run_scenario
+from trajloc import ScenarioConfig, TrajectoryModel, emit_results, gridalgos, harness, run_scenario
 from trajloc.harness import (
     ALGORITHMS,
     CONFIG_KEYS,
@@ -176,7 +176,7 @@ class TestRunScenario:
         ]
         assert strip(a.rows) == strip(b.rows)
 
-    def test_algorithms_do_not_mutate_shared_blocks(self, array, linear_grid, four_sources):
+    def test_algorithms_do_not_mutate_shared_blocks(self, array, linear_grid, four_sources, monkeypatch):
         # the paired-trial contract relies on every algorithm reading the
         # same block object without touching it
         import warnings
@@ -189,9 +189,10 @@ class TestRunScenario:
         tl_omp(blocks, linear_grid, array, 2)
         tl_sfw(blocks, linear_grid, array, 2)
         tl_nomp(blocks, linear_grid, array, 2)
+        monkeypatch.setattr(gridalgos, "SBL_MAX_ITERS", 5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NumericsWarning)
-            tl_sbl(blocks, linear_grid, array, 2, 0.1, max_iters=5)
+            tl_sbl(blocks, linear_grid, array, 2, 0.1)
         assert blocks[0].data.tobytes() == before
 
     @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajloc import metrics
 from trajloc import (
     TrajectoryModel,
     TrajectoryParams,
@@ -78,7 +79,7 @@ class TestOspa:
     def test_cardinality_penalty(self):
         p = lin(5.0, 1.0)
         stray = lin(-60.0, 0.0)
-        asn = ospa_assign([p], [p, stray], p=2, c=100.0, L=30)
+        asn = ospa_assign([p], [p, stray], L=30)
         assert asn.ospa == pytest.approx(np.sqrt(0.5) * 100.0, abs=1e-9)
         assert asn.ospa == pytest.approx(70.711, abs=1e-3)
         assert asn.unassigned_estimates == (1,)
@@ -117,7 +118,7 @@ class TestOspa:
             Khat = int(rng.integers(K, 6))
             T = [random_params(LINEAR, rng) for _ in range(K)]
             E = [random_params(LINEAR, rng) for _ in range(Khat)]
-            asn = ospa_assign(T, E, p=2, c=100.0, L=30)
+            asn = ospa_assign(T, E, L=30)
             assert asn.ospa == pytest.approx(brute_force_ospa(T, E, 2, 100.0, 30), rel=1e-10)
 
 
@@ -131,7 +132,7 @@ class TestDetectionStats:
     def test_threshold_split(self):
         truth = [lin(0, 0), lin(50, 0)]
         est = [lin(1, 0), lin(60, 0)]  # distances 1 and 10
-        pd, rmse = detection_stats(ospa_assign(truth, est, L=30), threshold=5.0)
+        pd, rmse = detection_stats(ospa_assign(truth, est, L=30))
         assert pd == 0.5
         assert rmse == pytest.approx(1.0, abs=1e-12)
 
@@ -146,12 +147,15 @@ class TestDetectionStats:
         assert asn.unassigned_truths == (1,)
         assert detection_stats(asn) == (0.5, 0.0)
 
-    def test_pd_monotone_in_threshold(self):
+    def test_pd_monotone_in_threshold(self, monkeypatch):
         rng = np.random.default_rng(5)
         truth = [random_params(LINEAR, rng) for _ in range(4)]
         est = [random_params(LINEAR, rng) for _ in range(6)]
         asn = ospa_assign(truth, est, L=30)
-        pds = [detection_stats(asn, threshold=t)[0] for t in (1, 2, 5, 10, 20, 90)]
+        pds = []
+        for t in (1, 2, 5, 10, 20, 90):
+            monkeypatch.setattr(metrics, "DETECTION_THRESHOLD", t)
+            pds.append(detection_stats(asn)[0])
         assert pds == sorted(pds)
 
 

@@ -155,7 +155,7 @@ class TestSynthesis:
 
     def test_aliasing_rejected(self, linear_model):
         src = TrajectoryParams(linear_model, 0.0, (1.0,))
-        wide = ArrayConfig(4, spacing=0.2, propagation_speed=343.0)
+        wide = ArrayConfig(4, spacing=0.2)
         # at 1000 Hz the half wavelength is ~0.17 m < 0.2 m spacing
         with pytest.raises(ValueError):
             synthesize_block([src], wide, 10, 5.0, [1000.0], seed=0)
@@ -183,4 +183,4 @@ class TestSynthesis:
         data[2, 5] = complex(0.0, np.inf)
         data[3, 1] = np.nan
         with pytest.raises(ValueError, match="sensor 2, snapshot 5"):
-            ObservationBlock(data, None, 6)
+            ObservationBlock(data, None)

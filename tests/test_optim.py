@@ -28,7 +28,7 @@ from trajloc.optim import (
     project_out,
     steering_stack,
 )
-from trajloc import grid_point
+from trajloc import grid_point, optim
 from conftest import random_params
 
 LINEAR = TrajectoryModel.polynomial(1)
@@ -382,11 +382,12 @@ class TestJointRefine:
             W, X, report, _ = joint_refine(start, blocks, array, self.bounds())
             assert report.final_objective <= fit_at(start) + 1e-9
 
-    def test_coincident_start_warns(self, array):
+    def test_coincident_start_warns(self, array, monkeypatch):
         src = TrajectoryParams(LINEAR, 10.0, (1.0,))
         blocks, _ = synthesize_block([src], array, 30, 5.0, seed=5)
+        monkeypatch.setattr(optim, "JOINT_MAX_ITERS", 1)
         with pytest.warns(NumericsWarning):
-            joint_refine([src, src], blocks, array, self.bounds(), max_iters=1)
+            joint_refine([src, src], blocks, array, self.bounds())
 
     def test_one_stack_per_point_and_no_reevaluation(self, monkeypatch):
         # one accepted Gauss-Newton step evaluates two points, the start and
@@ -413,14 +414,15 @@ class TestJointRefine:
 
         counted("batched_snapshot_ls")
         counted("trajectory_steering_matrix")
-        _, _, report, _ = joint_refine(start, blocks, array, self.bounds(), max_iters=1)
+        monkeypatch.setattr(optim, "JOINT_MAX_ITERS", 1)
+        _, _, report, _ = joint_refine(start, blocks, array, self.bounds())
         F, k = len(freqs), len(start)
         assert report.iterations == 1 and report.step_norms[0] > 0
         assert report.objectives[-1] == report.final_objective
         assert calls == {"batched_snapshot_ls": 3 * F, "trajectory_steering_matrix": 2 * k * F}
 
     @pytest.mark.parametrize("max_iters", [0, 100])
-    def test_returned_residuals_match_rebuilt_residuals(self, max_iters):
+    def test_returned_residuals_match_rebuilt_residuals(self, max_iters, monkeypatch):
         from trajloc import ArrayConfig
 
         freqs = (1400.0, 1600.0, 1800.0)
@@ -429,17 +431,19 @@ class TestJointRefine:
         s2 = TrajectoryParams(LINEAR, -40.4, (-2.6,))
         blocks, _ = synthesize_block([s1, s2], array, 30, 5.0, freqs, seed=15)
         start = [TrajectoryParams(LINEAR, 21.0, (1.5,)), TrajectoryParams(LINEAR, -41.0, (-2.5,))]
-        W, X, report, R = joint_refine(start, blocks, array, self.bounds(), max_iters=max_iters)
+        monkeypatch.setattr(optim, "JOINT_MAX_ITERS", max_iters)
+        W, X, report, R = joint_refine(start, blocks, array, self.bounds())
         rebuilt, _ = model_residuals(W, X, blocks, array, block_wavelengths(array, blocks))
         assert len(R) == len(freqs)
         for R_f, rebuilt_f in zip(R, rebuilt):
             assert np.array_equal(R_f, rebuilt_f)
         assert report.final_objective == 0.5 * sum(np.sum(r.real**2 + r.imag**2) for r in R)
 
-    def test_zero_iterations_amplitudes_match_direct_solve(self, array):
+    def test_zero_iterations_amplitudes_match_direct_solve(self, array, monkeypatch):
         s1 = TrajectoryParams(LINEAR, 20.0, (1.5,))
         s2 = TrajectoryParams(LINEAR, -40.0, (-2.5,))
         blocks, _ = synthesize_block([s1, s2], array, 30, 5.0, seed=14)
-        W, X, _, _ = joint_refine([s1, s2], blocks, array, self.bounds(), max_iters=0)
+        monkeypatch.setattr(optim, "JOINT_MAX_ITERS", 0)
+        W, X, _, _ = joint_refine([s1, s2], blocks, array, self.bounds())
         direct = amplitudes_ls([s1, s2], blocks, array)
         np.testing.assert_array_equal(X[0], direct[0])
