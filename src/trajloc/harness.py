@@ -139,10 +139,17 @@ class ScenarioConfig:
                 raise ValueError(f"unknown sweep kind {kind!r}")
             if not values:
                 raise ValueError("sweep values must be non-empty")
+            if kind == "freq_count" and not set(values) <= set(WIDEBAND_SETS):
+                raise ValueError(
+                    f"sweep_values: a freq_count sweep takes only "
+                    f"{', '.join(map(str, WIDEBAND_SETS))}, got {list(values)}"
+                )
         for name in ("snr_db", "snapshots", "frequencies"):
             values = getattr(self, name)
             if isinstance(values, tuple) and not values:
                 raise ValueError(f"{name}: must not be empty")
+        if self.frequencies and min(self.frequencies) <= 0:
+            raise ValueError(f"frequencies: must be positive Hz, got {list(self.frequencies)}")
         if "tl-sbl" in self.algorithms and self._may_be_wideband():
             raise ValueError("tl-sbl supports narrowband (or single-frequency) data only")
 
@@ -570,21 +577,21 @@ def load_config(path: str) -> ScenarioConfig:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: {key}: {exc}") from exc
 
-    kind = data.get("model", POLYNOMIAL)
-    if kind == BANDLIMITED and "nu" not in data:
+    kind, nu = read("model", str, POLYNOMIAL), read("nu", float)
+    if kind == BANDLIMITED and nu is None:
         raise ValueError(f"{path}: bandlimited model requires an explicit nu")
-    model = TrajectoryModel(kind, read("order", int, 1), read("nu", float))
+    model = TrajectoryModel(kind, read("order", int, 1), nu)
     grid_phi = read("grid_phi", _triple, (-85.0, 2.0, 85.0))
     grid_coeffs = read("grid_coeffs", _list_of(_triple), ((-5.0, 0.5, 5.0),))
     sources = read("sources", _list_of(_source), ())
-    sweep = None
-    if "sweep_kind" in data or "sweep_values" in data:
-        if not ("sweep_kind" in data and "sweep_values" in data):
+    sweep = (read("sweep_kind", str), read("sweep_values", _list_of(float)))
+    if None in sweep:
+        if sweep != (None, None):
             raise ValueError(f"{path}: sweep_kind and sweep_values go together")
-        sweep = (str(data["sweep_kind"]), read("sweep_values", _list_of(float), ()))
+        sweep = None
     fields = {k: read(k, cast) for k, cast in FIELD_KEYS.items() if data.get(k) is not None}
     return ScenarioConfig(
-        name=str(data.get("name", os.path.splitext(os.path.basename(path))[0])),
+        name=read("name", str, os.path.splitext(os.path.basename(path))[0]),
         model=model,
         grid_phi=grid_phi,
         grid_coeffs=grid_coeffs,

@@ -48,10 +48,9 @@ class ArrayConfig:
         The highest band then sits exactly at the spatial Nyquist limit and
         every lower one is oversampled, so no band aliases.
         """
-        fmax = max(frequencies)
-        if fmax <= 0:
+        if min(frequencies) <= 0:
             raise ValueError("frequencies must be positive")
-        return cls(n_sensors, SOUND_SPEED / fmax / 2.0)
+        return cls(n_sensors, SOUND_SPEED / max(frequencies) / 2.0)
 
 
 def wavelength_for(array: ArrayConfig, frequency: float | None) -> float:
@@ -287,9 +286,7 @@ def synthesize_block(
     if not freqs:
         raise ValueError("frequencies list must not be empty")
     for f in freqs:
-        if f is None:
-            continue
-        half_wave = SOUND_SPEED / f / 2.0
+        half_wave = wavelength_for(array, f) / 2.0
         if array.spacing > half_wave * (1.0 + 1e-12):
             raise ValueError(
                 f"spacing {array.spacing} m aliases at {f} Hz "

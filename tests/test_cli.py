@@ -106,6 +106,9 @@ def test_run_without_sources_names_the_key(tmp_path):
         ("snapshots: [a]", "snapshots"),
         ("model: bandlimited\nnu: [1]", "nu"),
         ("frequencies: []", "frequencies"),
+        ("frequencies: [0, 1000]", "frequencies"),
+        ("sweep_kind: freq_count\nsweep_values: [2]", "sweep_values"),
+        ("sweep_kind: freq_count\nsweep_values: [1.5]", "sweep_values"),
     ],
 )
 def test_run_names_a_wrong_shaped_key(tmp_path, text, key):

@@ -322,6 +322,12 @@ base_seed: 3
         with pytest.raises(ValueError, match="list under 'snapshots'"):
             load_config(str(path))
 
+    def test_empty_keys_take_defaults(self, tmp_path):
+        path = tmp_path / "blank.yaml"
+        path.write_text("name:\nmodel:\nsweep_kind:\nsweep_values:\nsources:\n  - [-11, 3.5]\n")
+        cfg = load_config(str(path))
+        assert (cfg.name, cfg.model, cfg.sweep) == ("blank", LINEAR, None)
+
     def test_bandlimited_requires_nu(self, tmp_path):
         path = tmp_path / "bl.yaml"
         path.write_text("name: x\nmodel: bandlimited\norder: 1\n")

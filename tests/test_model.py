@@ -153,6 +153,14 @@ class TestSynthesis:
         with pytest.raises(ValueError):
             synthesize_block([runaway], array, 30, 5.0, seed=0)
 
+    @pytest.mark.parametrize("freqs", [[0.0, 1000.0], [-500.0, 1000.0]], ids=["zero", "negative"])
+    def test_non_positive_frequency_rejected(self, linear_model, freqs):
+        src = TrajectoryParams(linear_model, 0.0, (1.0,))
+        with pytest.raises(ValueError, match="positive"):
+            ArrayConfig.for_frequencies(4, freqs)
+        with pytest.raises(ValueError, match="frequency must be positive"):
+            synthesize_block([src], ArrayConfig(4, spacing=0.1), 10, 5.0, freqs, seed=0)
+
     def test_aliasing_rejected(self, linear_model):
         src = TrajectoryParams(linear_model, 0.0, (1.0,))
         wide = ArrayConfig(4, spacing=0.2)
