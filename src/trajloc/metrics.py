@@ -82,8 +82,8 @@ def detection_stats(assignment: Assignment):
     """Probability of detection and mean RMSE of the detected sources.
 
     A true source counts as detected when its assigned distance is strictly
-    below `DETECTION_THRESHOLD`; an unassigned one (K > K_hat) is missed. With no
-    detections the RMSE is ``None`` (absent, not zero).
+    below `DETECTION_THRESHOLD`; an unassigned one (K > K_hat) is missed.
+    With no detections the RMSE is ``None`` (absent, not zero).
     """
     if not assignment.pairs:
         return 0.0, None

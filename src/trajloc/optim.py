@@ -388,8 +388,8 @@ def joint_refine(
     The model then differs from the Hessian of the fit error only by terms
     that vanish with the residual, so the iteration converges quadratically
     on noiseless data (`STEP_TOL` in a handful of steps) and fast where
-    the residual is small. `_descend` takes at most `JOINT_MAX_ITERS` steps,
-    so the returned fit error never exceeds the starting one.
+    the residual is small. `_descend` takes the steps (at most
+    `JOINT_MAX_ITERS`), so the returned fit error never exceeds the starting one.
 
     Returns (trajectories, per-frequency amplitude arrays, OptimReport,
     per-frequency residual matrices): the residuals are the data projected
