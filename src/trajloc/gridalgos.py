@@ -100,6 +100,7 @@ def _check_blocks(blocks, array: ArrayConfig, K: int | None = None) -> tuple[flo
 
 
 SBL_TOL = 1e-3  # TL-SBL's stop: largest gamma change / largest gamma
+SBL_PRUNE = 1e-6  # TL-SBL drops a gamma below this share of the largest
 SBL_MAX_ITERS = 500
 PEAK_EXCESS = 2  # spectrum methods report K + PEAK_EXCESS peaks for K sources
 
@@ -274,6 +275,16 @@ def tl_omp(blocks, grid: ParamGrid, array: ArrayConfig, K: int):
     return estimates, norms
 
 
+def _powers_tensor(E: np.ndarray, N: int) -> np.ndarray:
+    """A[l, n, m] = E[m, l]**n for the phasor rows E (m, L): shape (L, N, m),
+    each power one multiply by E from the power below it."""
+    A = np.empty((E.shape[1], N, E.shape[0]), dtype=complex)
+    A[:, 0, :] = 1.0
+    for n in range(1, N):
+        np.multiply(A[:, n - 1, :], E.T, out=A[:, n, :])
+    return A
+
+
 def tl_sbl(
     blocks,
     grid: ParamGrid,
@@ -289,10 +300,14 @@ def tl_sbl(
                              / sum_l a_lm^H S_l^{-1} a_lm
 
     with per-snapshot covariances S_l = sigma_n^2 I + sum_m gamma_m a_lm
-    a_lm^H, starting from gamma = 1, until the largest gamma change relative
-    to the largest gamma drops below `SBL_TOL` or `SBL_MAX_ITERS` is reached
-    (non-convergence warns, never raises). Returns the final gamma vector as
-    a Spectrum together with its K + `PEAK_EXCESS` strongest peaks.
+    a_lm^H, starting from gamma = 1 at every physical grid point and 0 at the
+    points of `nonphysical_mask`, until the largest gamma change relative to
+    the largest gamma drops below `SBL_TOL` or `SBL_MAX_ITERS` is reached
+    (non-convergence warns, never raises). After each update, a gamma below
+    `SBL_PRUNE` times the largest is set to 0 for good: the multiplicative
+    update keeps it there. Returns the final gamma vector, exactly 0 at
+    masked and pruned points, as a Spectrum together with its
+    K + `PEAK_EXCESS` strongest peaks.
 
     The array is a uniform line, so a_lm[n] = E_ml**n with |E_ml| = 1, and
     every quantity of the update depends on a sensor pair (n, k) only through
@@ -305,11 +320,17 @@ def tl_sbl(
         a_lm^H S_l^{-1} a_lm = Re c[l, 0] + 2 Re sum_{d>=1} c[l, d] E_ml**d;
         |a_lm^H S_l^{-1} y_l| = |sum_d conj(S_l^{-1} y_l)[d] E_ml**d|.
 
-    So one iteration is three matrix-vector products against A, O(L N M),
-    instead of forming S_l and S_l^{-1} A_l in O(L N^2 M).
+    So one iteration is three matrix-vector products against A, O(L N M_A)
+    for the M_A grid points A holds, instead of forming S_l and S_l^{-1} A_l
+    in O(L N^2 M). A holds the physical points at first; whenever the points
+    still active have halved since A was built, A is dropped and rebuilt over
+    them alone, so only one tensor is alive at a time. Pruned points A still
+    holds carry gamma = 0 until then.
     """
-    if noise_variance <= 0:
-        raise ValueError("noise variance must be positive (assumed known)")
+    if not (np.isfinite(noise_variance) and noise_variance > 0):
+        raise ValueError(
+            f"noise variance must be positive and finite (assumed known), got {noise_variance}"
+        )
     if len(blocks) != 1:
         raise ValueError("TL-SBL is narrowband: pass exactly one block")
     (lam,) = _check_blocks(blocks, array, K)
@@ -317,17 +338,23 @@ def tl_sbl(
     M = grid.size
 
     E = phase_table(grid, L, _phase_scale(array, lam))  # (M, L)
-    A = np.empty((L, N, M), dtype=complex)  # A[l, n, m] = E[m, l]**n
-    A[:, 0, :] = 1.0
-    for n in range(1, N):
-        np.multiply(A[:, n - 1, :], E.T, out=A[:, n, :])
-    A_flat = A.reshape(L * N, M)
+    cols = np.flatnonzero(~nonphysical_mask(grid, L))  # grid points A holds
+    A = _powers_tensor(E[cols], N)
+    A_flat = A.reshape(L * N, cols.size)
     lag = (N - 1) + np.subtract.outer(np.arange(N), np.arange(N))  # (N-1) + n - k
     Yl = blocks[0].data.T  # (L, N)
 
-    gamma = np.ones(M)
+    gamma = np.ones(cols.size)
+    active = np.ones(cols.size, dtype=bool)
+    rel = np.inf
     converged = False
     for _ in range(SBL_MAX_ITERS):
+        if 2 * np.count_nonzero(active) <= active.size:
+            cols, gamma = cols[active], gamma[active]
+            del A, A_flat  # the old tensor goes before the new one is built
+            A = _powers_tensor(E[cols], N)
+            A_flat = A.reshape(L * N, cols.size)
+            active = np.ones(cols.size, dtype=bool)
         r = (A_flat @ gamma).reshape(L, N)
         # lags -(N-1) .. N-1 of each snapshot's Hermitian Toeplitz covariance
         t = np.concatenate([np.conj(r[:, :0:-1]), r], axis=1)
@@ -340,16 +367,24 @@ def tl_sbl(
         c[:, 1:] *= 2.0
         den = (c.reshape(L * N) @ A_flat).real  # sum_l of a_lm^H S_l^{-1} a_lm
         gamma_new = gamma * num / den
-        rel = float(np.max(np.abs(gamma_new - gamma)) / max(np.max(gamma), 1e-300))
-        gamma = gamma_new
+        rel = float(
+            np.max(np.abs(gamma_new - gamma), initial=0.0)
+            / max(np.max(gamma, initial=0.0), 1e-300)
+        )
+        active[gamma_new < SBL_PRUNE * np.max(gamma_new, initial=0.0)] = False
+        gamma = np.where(active, gamma_new, 0.0)
         if rel < SBL_TOL:
             converged = True
             break
     if not converged:
         warnings.warn(
-            f"TL-SBL did not converge within {SBL_MAX_ITERS} iterations",
+            f"TL-SBL did not converge within {SBL_MAX_ITERS} iterations "
+            f"(last relative change {rel:.1e}; "
+            f"{np.count_nonzero(active)} of {M} grid points active)",
             NumericsWarning,
             stacklevel=2,
         )
-    spectrum = Spectrum(grid, gamma)
+    values = np.zeros(M)
+    values[cols] = gamma
+    spectrum = Spectrum(grid, values)
     return spectrum, find_peaks(spectrum, K + PEAK_EXCESS)

@@ -1,4 +1,5 @@
 import os
+import re
 import threading
 import tracemalloc
 import warnings
@@ -68,8 +69,11 @@ def reference_beam_power(residuals, grid, array, wavelengths):
 
 
 def reference_sbl(blocks, grid, array, noise_variance, tol=1e-3, max_iters=500):
-    """The dense TL-SBL iteration that tl_sbl runs on the lag structure: forms
-    S_l = sigma^2 I + A_l diag(gamma) A_l^H and S_l^{-1} A_l in full.
+    """The dense TL-SBL iteration that tl_sbl runs on the lag structure and a
+    shrinking set of grid points: forms S_l = sigma^2 I + A_l diag(gamma)
+    A_l^H and S_l^{-1} A_l in full over every grid point. gamma starts at 0
+    on the non-physical points and 1 elsewhere; after each update, a gamma
+    below `SBL_PRUNE` times the largest is set to 0.
     Returns (gamma, iterations run, converged)."""
     N, L = blocks[0].data.shape
     lam = block_wavelengths(array, blocks)[0]
@@ -81,7 +85,7 @@ def reference_sbl(blocks, grid, array, noise_variance, tol=1e-3, max_iters=500):
         A[:, n, :] = A[:, n - 1, :] * E.T
     Ac = np.conj(A)
     Yl = blocks[0].data.T
-    gamma = np.ones(M)
+    gamma = np.where(nonphysical_mask(grid, L), 0.0, 1.0)
     eye = np.eye(N)[None]
     for it in range(1, max_iters + 1):
         Sigma = noise_variance * eye + np.einsum("lnm,lkm->lnk", A * gamma[None, None, :], Ac)
@@ -94,7 +98,7 @@ def reference_sbl(blocks, grid, array, noise_variance, tol=1e-3, max_iters=500):
         den = q.sum(axis=0)
         gamma_new = gamma * num / den
         rel = float(np.max(np.abs(gamma_new - gamma)) / max(np.max(gamma), 1e-300))
-        gamma = gamma_new
+        gamma = np.where(gamma_new < gridalgos.SBL_PRUNE * np.max(gamma_new), 0.0, gamma_new)
         if rel < tol:
             return gamma, it, True
     return gamma, max_iters, False
@@ -439,7 +443,9 @@ class TestTlSbl:
         monkeypatch.setattr(gridalgos, "SBL_MAX_ITERS", 1)
         with pytest.warns(NumericsWarning):
             spec, _ = tl_sbl(blocks, linear_grid, array, 4, 10 ** (-0.5))
-        assert np.all(spec.values > 0.0)
+        mask = nonphysical_mask(linear_grid, 30)
+        assert mask.any() and np.all(spec.values[mask] == 0.0)
+        assert np.all(spec.values[~mask] > 0.0)
 
     def test_strong_single_source_argmax(self, array, linear_grid):
         src = TrajectoryParams(LINEAR, -11.0, (3.5,))
@@ -467,6 +473,51 @@ class TestTlSbl:
         blocks, _ = synthesize_block(four_sources, array, 30, 5.0, seed=9)
         with pytest.raises(ValueError):
             tl_sbl(blocks, linear_grid, array, 4, 0.0)
+
+    @pytest.mark.parametrize("noise_variance", [np.nan, np.inf, -np.inf])
+    def test_non_finite_noise_variance_refused(self, array, linear_grid, four_sources, noise_variance):
+        blocks, _ = synthesize_block(four_sources, array, 30, 5.0, seed=9)
+        with pytest.raises(ValueError, match="noise variance must be positive and finite"):
+            tl_sbl(blocks, linear_grid, array, 4, noise_variance)
+
+    def test_nonconvergence_warning_reports_progress(self, array, linear_grid, four_sources, monkeypatch):
+        blocks, truth = synthesize_block(four_sources, array, 30, 5.0, seed=6)
+        monkeypatch.setattr(gridalgos, "SBL_MAX_ITERS", 12)
+        with pytest.warns(NumericsWarning) as caught:
+            spec, _ = tl_sbl(blocks, linear_grid, array, 4, truth.noise_variance)
+        (message,) = [str(w.message) for w in caught]
+        active = np.count_nonzero(spec.values)
+        assert active < linear_grid.size - np.count_nonzero(nonphysical_mask(linear_grid, 30))
+        assert re.fullmatch(
+            rf"TL-SBL did not converge within 12 iterations \(last relative change "
+            rf"\d\.\de[+-]\d\d; {active} of 1806 grid points active\)",
+            message,
+        ), message
+
+    @pytest.mark.parametrize("snr_db, seed", [(30.0, 0), (30.0, 1), (30.0, 2), (5.0, 0), (5.0, 1)])
+    def test_peaks_match_unpruned_run(self, array, linear_grid, four_sources, monkeypatch, snr_db, seed):
+        blocks, truth = synthesize_block(four_sources, array, 30, snr_db, seed=seed)
+        args = (blocks, linear_grid, array, 4, truth.noise_variance)
+        _, peaks = tl_sbl(*args)
+        monkeypatch.setattr(gridalgos, "SBL_PRUNE", 0.0)
+        _, unpruned = tl_sbl(*args)
+        assert (peaks.params, peaks.shortfall) == (unpruned.params, unpruned.shortfall)
+
+    def test_gamma_is_zero_at_masked_and_pruned_points(self, array, linear_grid, four_sources):
+        blocks, truth = synthesize_block(four_sources, array, 30, 30.0, seed=0)
+        args = (blocks, linear_grid, array, 4, truth.noise_variance)
+        early, _, _ = quiet_sbl(*args, max_iters=8)
+        final, _, warned = quiet_sbl(*args)
+        assert not warned
+        mask = nonphysical_mask(linear_grid, 30)
+        for values in (early.values, final.values):
+            assert np.all(values[mask] == 0.0)
+            # every point left holds at least SBL_PRUNE of the largest gamma
+            kept = values[values > 0.0]
+            assert np.min(kept) >= gridalgos.SBL_PRUNE * np.max(kept)
+        # a pruned point stays 0, and pruning removed physical points too
+        assert np.all(final.values[early.values == 0.0] == 0.0)
+        assert np.count_nonzero(mask) < np.count_nonzero(early.values == 0.0) < np.count_nonzero(final.values == 0.0)
 
     @pytest.mark.parametrize("max_iters", [1, 5, 40])
     def test_gamma_matches_dense_reference(self, array, linear_grid, four_sources, max_iters):
@@ -500,6 +551,32 @@ class TestTlSbl:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        powers_bytes = 30 * 10 * linear_grid.size * 16  # the (L, N, M) complex tensor
+        assert peak < 2 * powers_bytes
+
+    def test_memory_stays_near_one_powers_tensor_through_compaction(self, array, linear_grid, four_sources):
+        blocks, truth = synthesize_block(four_sources, array, 30, 30.0, seed=10)
+        args = (blocks, linear_grid, array, 4, truth.noise_variance)
+        quiet_sbl(*args, max_iters=1)  # the phase table and mask are cached, not counted
+        built = []
+        real = gridalgos._powers_tensor
+
+        def recording(E, N):
+            built.append(E.shape[0])
+            return real(E, N)
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(gridalgos, "_powers_tensor", recording):
+                _, _, warned = quiet_sbl(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not warned
+        # the physical points first, then a rebuild each time the set halves
+        assert built[0] == linear_grid.size - np.count_nonzero(nonphysical_mask(linear_grid, 30))
+        assert len(built) >= 2
+        assert all(2 * b <= a for a, b in zip(built, built[1:]))
         powers_bytes = 30 * 10 * linear_grid.size * 16  # the (L, N, M) complex tensor
         assert peak < 2 * powers_bytes
 
