@@ -109,6 +109,9 @@ def test_run_without_sources_names_the_key(tmp_path):
         ("frequencies: [0, 1000]", "frequencies"),
         ("sweep_kind: freq_count\nsweep_values: [2]", "sweep_values"),
         ("sweep_kind: freq_count\nsweep_values: [1.5]", "sweep_values"),
+        ("sources: [[0, 1]]\nsweep_kind: phi_step\nsweep_values: [0]", "sweep_values"),
+        ("sources: [[0, 1]]\nfrequencies: [.nan]", "frequencies"),
+        ("sources: [[0, 1]]\nsnr_db: .nan", "snr_db"),
     ],
 )
 def test_run_names_a_wrong_shaped_key(tmp_path, text, key):

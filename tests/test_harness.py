@@ -76,6 +76,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"list under '{kind}'"):
             small_config(sweep=(kind, (5.0,)))
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            (dict(sweep=("phi_step", (0.0,))), "sweep_values"),
+            (dict(sweep=("phi_step", (2.0, -2.0))), "sweep_values"),
+            (dict(sweep=("phi_step", (np.nan,))), "sweep_values"),
+            (dict(sweep=("phi_step", (np.inf,))), "sweep_values"),
+            (dict(frequencies=(np.nan,)), "frequencies"),
+            (dict(frequencies=(1000.0, np.inf)), "frequencies"),
+            (dict(snr_db=np.nan), "snr_db"),
+            (dict(snr_db=-np.inf), "snr_db"),
+            (dict(snr_db=(0.0, np.inf)), "snr_db"),
+        ],
+        ids=[
+            "phi-step-zero", "phi-step-negative", "phi-step-nan", "phi-step-inf",
+            "frequency-nan", "frequency-inf", "snr-nan", "snr-minus-inf", "snr-sweep-inf",
+        ],
+    )
+    def test_out_of_range_value_names_its_key(self, overrides, key):
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            small_config(**overrides)
+
 
 class TestMaterialize:
     def test_grid_step_sources_half_step_offsets(self):
