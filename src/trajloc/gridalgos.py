@@ -275,10 +275,12 @@ def tl_omp(blocks, grid: ParamGrid, array: ArrayConfig, K: int):
     return estimates, norms
 
 
-def _powers_tensor(E: np.ndarray, N: int) -> np.ndarray:
-    """A[l, n, m] = E[m, l]**n for the phasor rows E (m, L): shape (L, N, m),
-    each power one multiply by E from the power below it."""
-    A = np.empty((E.shape[1], N, E.shape[0]), dtype=complex)
+def _powers_tensor(E: np.ndarray, N: int, buf: np.ndarray) -> np.ndarray:
+    """A[l, n, m] = E[m, l]**n for the phasor rows E (m, L), shape (L, N, m),
+    each power one multiply by E from the power below it. A is a view of the
+    front of the flat complex buffer ``buf``, which it overwrites."""
+    m, L = E.shape
+    A = buf[: L * N * m].reshape(L, N, m)
     A[:, 0, :] = 1.0
     for n in range(1, N):
         np.multiply(A[:, n - 1, :], E.T, out=A[:, n, :])
@@ -323,9 +325,10 @@ def tl_sbl(
     So one iteration is three matrix-vector products against A, O(L N M_A)
     for the M_A grid points A holds, instead of forming S_l and S_l^{-1} A_l
     in O(L N^2 M). A holds the physical points at first; whenever the points
-    still active have halved since A was built, A is dropped and rebuilt over
-    them alone, so only one tensor is alive at a time. Pruned points A still
-    holds carry gamma = 0 until then.
+    still active have halved since A was built, A is rebuilt over them alone,
+    from their phase-table rows, into the front of its own buffer. So a call
+    allocates one tensor, whose size the first build sets, and nothing per
+    compaction. Pruned points A still holds carry gamma = 0 until then.
     """
     if not (np.isfinite(noise_variance) and noise_variance > 0):
         raise ValueError(
@@ -339,20 +342,19 @@ def tl_sbl(
 
     E = phase_table(grid, L, _phase_scale(array, lam))  # (M, L)
     cols = np.flatnonzero(~nonphysical_mask(grid, L))  # grid points A holds
-    A = _powers_tensor(E[cols], N)
+    buf = np.empty(L * N * cols.size, dtype=complex)
+    A = _powers_tensor(E[cols], N, buf)
     A_flat = A.reshape(L * N, cols.size)
     lag = (N - 1) + np.subtract.outer(np.arange(N), np.arange(N))  # (N-1) + n - k
     Yl = blocks[0].data.T  # (L, N)
 
     gamma = np.ones(cols.size)
     active = np.ones(cols.size, dtype=bool)
-    rel = np.inf
     converged = False
     for _ in range(SBL_MAX_ITERS):
         if 2 * np.count_nonzero(active) <= active.size:
             cols, gamma = cols[active], gamma[active]
-            del A, A_flat  # the old tensor goes before the new one is built
-            A = _powers_tensor(E[cols], N)
+            A = _powers_tensor(E[cols], N, buf)
             A_flat = A.reshape(L * N, cols.size)
             active = np.ones(cols.size, dtype=bool)
         r = (A_flat @ gamma).reshape(L, N)

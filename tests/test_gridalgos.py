@@ -519,6 +519,14 @@ class TestTlSbl:
         assert np.all(final.values[early.values == 0.0] == 0.0)
         assert np.count_nonzero(mask) < np.count_nonzero(early.values == 0.0) < np.count_nonzero(final.values == 0.0)
 
+    def test_grid_without_physical_points_gives_zero_spectrum(self, array):
+        # phi >= 91: every trajectory of this grid is non-physical
+        grid = build_grid([("phi", 91.0, 1.0, 95.0), ("alpha1", -1.0, 0.5, 1.0)], LINEAR)
+        blocks, truth = synthesize_block([TrajectoryParams(LINEAR, 10.0, (0.5,))], array, 30, 10.0, seed=0)
+        spec, peaks = tl_sbl(blocks, grid, array, 1, truth.noise_variance)
+        assert np.all(spec.values == 0.0)
+        assert peaks.entries == () and peaks.shortfall
+
     @pytest.mark.parametrize("max_iters", [1, 5, 40])
     def test_gamma_matches_dense_reference(self, array, linear_grid, four_sources, max_iters):
         blocks, truth = synthesize_block(four_sources, array, 30, 5.0, seed=6)
@@ -561,9 +569,9 @@ class TestTlSbl:
         built = []
         real = gridalgos._powers_tensor
 
-        def recording(E, N):
+        def recording(E, N, buf):
             built.append(E.shape[0])
-            return real(E, N)
+            return real(E, N, buf)
 
         tracemalloc.start()
         try:
