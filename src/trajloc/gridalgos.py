@@ -330,7 +330,7 @@ def tl_sbl(
     allocates one tensor, whose size the first build sets, and nothing per
     compaction. Pruned points A still holds carry gamma = 0 until then.
     """
-    if not (np.isfinite(noise_variance) and noise_variance > 0):
+    if not 0 < noise_variance < np.inf:
         raise ValueError(
             f"noise variance must be positive and finite (assumed known), got {noise_variance}"
         )

@@ -144,7 +144,7 @@ class ScenarioConfig:
                     f"sweep_values: a freq_count sweep takes only "
                     f"{', '.join(map(str, WIDEBAND_SETS))}, got {list(values)}"
                 )
-            if kind == "phi_step" and not all(np.isfinite(v) and v > 0 for v in values):
+            if kind == "phi_step" and not all(0 < v < np.inf for v in values):
                 raise ValueError(
                     f"sweep_values: a phi_step sweep takes positive finite steps, got {list(values)}"
                 )
@@ -154,7 +154,7 @@ class ScenarioConfig:
                 raise ValueError(f"{name}: must not be empty")
         if not np.all(np.isfinite(self.snr_db)):
             raise ValueError(f"snr_db: must be finite dB, got {self.snr_db}")
-        if self.frequencies and not all(np.isfinite(f) and f > 0 for f in self.frequencies):
+        if self.frequencies and not all(0 < f < np.inf for f in self.frequencies):
             raise ValueError(f"frequencies: must be positive finite Hz, got {list(self.frequencies)}")
         if "tl-sbl" in self.algorithms and self._may_be_wideband():
             raise ValueError("tl-sbl supports narrowband (or single-frequency) data only")
