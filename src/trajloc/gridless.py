@@ -13,9 +13,7 @@ residual energy stops changing.
 Both carry the same residual to the next source as TL-OMP does: the data
 projected, at each snapshot, away from the span of the selected
 trajectories' steering vectors (`optim.project_all`). TL-SFW takes it from
-`joint_refine`; TL-NOMP re-projects the data after its cyclic sweeps. The
-one residual that is not a projection is TL-NOMP's cyclic ``R_star``,
-Y - sum_i A_i x_i with per-source matched-filter amplitudes x_i.
+`joint_refine`; TL-NOMP re-projects the data after its cyclic sweeps.
 
 Both estimators only need a grid start in the right basin, since continuous
 ascent, Newton steps and the joint refine finish the job. So neither scans
@@ -44,7 +42,6 @@ from .optim import (
     Bounds,
     joint_refine,
     maximize_local,
-    model_residuals,
     newton_step,
     project_all,
     residual_energy,
@@ -159,14 +156,17 @@ def tl_nomp(
 ):
     """Newtonized OMP trajectory localization.
 
-    Per source: (i) coarse-to-fine grid start against the orthogonal
-    residual (`_coarse_start`, as in `tl_sfw`);
-    (ii) one safeguarded Newton step and matched-filter amplitudes; (iii)
-    global cyclic refinement sweeping all sources found so far (add a source
-    back into the residual, Newton-refine, re-estimate, subtract) until the
-    residual energy changes by at most `CYCLIC_RTOL` times the data energy
-    over a sweep, capped at `MAX_CYCLES`; (iv) residual re-projection of the data orthogonally
-    to all selected steering vectors.
+    Carries one residual R, the data minus the fit of the sources found so
+    far. Per source: (i) coarse-to-fine grid start against R (`_coarse_start`,
+    as in `tl_sfw`); (ii) one safeguarded Newton step, then the new source's
+    matched-filter amplitudes against R, subtracted from R; (iii) global
+    cyclic refinement sweeping all sources found so far (add a source back
+    into R, Newton-refine, re-estimate, subtract) until the residual energy
+    changes by at most `CYCLIC_RTOL` times the data energy over a sweep,
+    capped at `MAX_CYCLES`; (iv) the least-squares update of every amplitude.
+    Those amplitudes are the ones reported, and the residual of that fit, the
+    data projected away from all selected steering vectors, is where the
+    next source starts.
 
     Returns (list of K SourceEstimate, RunTrace).
     """
@@ -174,36 +174,35 @@ def tl_nomp(
     bounds = Bounds.from_grid(grid)
     Y = [b.data for b in blocks]
     trace = RunTrace()
-    residuals = Y  # orthogonal residual R^{[k-1]}
+    R = Y  # Y minus the fit of W
     W: list[TrajectoryParams] = []
-    stacks: list[list[np.ndarray]] = []  # per source, per frequency (1, N, L)
-    amps: list[list[np.ndarray]] = []  # per source, per frequency (1, L)
+    A, X = [], []  # per frequency, W's (k, N, L) steering stack and (k, L) amplitudes
     tol = CYCLIC_RTOL * residual_energy(Y)
     for k in range(1, K + 1):
         t0 = time.perf_counter()
-        omega = _coarse_start(residuals, grid, array, wavelengths, trace)
+        omega = _coarse_start(R, grid, array, wavelengths, trace)
         t1 = time.perf_counter()
         trace.add_time("coarse", t1 - t0)
 
-        omega, _ = newton_step(omega, residuals, array, wavelengths, bounds)
+        omega, _ = newton_step(omega, R, array, wavelengths, bounds)
         trace.refinements += 1
-        A_new, x_new, _ = project_all([omega], residuals, array, wavelengths)
+        A_new, x_new, R = project_all([omega], R, array, wavelengths)
         W.append(omega)
-        stacks.append(A_new)
-        amps.append(x_new)
+        A = [np.concatenate(p) for p in zip(A, A_new)] if A else A_new
+        X = [np.concatenate(p) for p in zip(X, x_new)] if X else x_new
         t2 = time.perf_counter()
         trace.add_time("newton", t2 - t1)
 
-        X = [np.concatenate(x) for x in zip(*amps)]  # (k, L) per frequency
-        R_star, _ = model_residuals(W, X, blocks, array, wavelengths)
-        before = residual_energy(R_star)
+        before = residual_energy(R)
         for cycle in range(1, MAX_CYCLES + 1):
             for i in range(len(W)):
-                R_hat = [Rs + A[0] * x for Rs, A, x in zip(R_star, stacks[i], amps[i])]
+                R_hat = [Rf + Af[i] * Xf[i] for Rf, Af, Xf in zip(R, A, X)]
                 W[i], _ = newton_step(W[i], R_hat, array, wavelengths, bounds)
-                stacks[i], amps[i], R_star = project_all([W[i]], R_hat, array, wavelengths)
+                A_i, x_i, R = project_all([W[i]], R_hat, array, wavelengths)
+                for Af, Xf, a, x in zip(A, X, A_i, x_i):
+                    Af[i], Xf[i] = a[0], x[0]
                 trace.refinements += 1
-            after = residual_energy(R_star)
+            after = residual_energy(R)
             trace.fit_history.append((f"cycle[{k}.{cycle}]", after))
             if abs(before - after) <= tol:
                 break
@@ -213,11 +212,9 @@ def tl_nomp(
         t3 = time.perf_counter()
         trace.add_time("cyclic", t3 - t2)
 
-        # orthogonal residual: project the data away from all selected
-        # steering vectors, snapshot by snapshot
-        _, _, residuals = project_all(W, Y, array, wavelengths)
-        trace.residual_norms.append(float(np.sqrt(residual_energy(residuals))))
+        A, X, R = project_all(W, Y, array, wavelengths)
+        trace.residual_norms.append(float(np.sqrt(residual_energy(R))))
         trace.add_time("project", time.perf_counter() - t3)
 
-    estimates = [SourceEstimate(w, tuple(x[0] for x in amps[i])) for i, w in enumerate(W)]
+    estimates = [SourceEstimate(w, tuple(Xf[i] for Xf in X)) for i, w in enumerate(W)]
     return estimates, trace

@@ -15,7 +15,8 @@ callers pass one residual matrix and one wavelength per frequency.
 `project_all` is the one per-frequency least-squares fit: the steering
 stacks of the selected trajectories, every snapshot fitted in their span,
 and the amplitudes and residuals. TL-OMP, TL-NOMP, `amplitudes_ls` and the
-variable-projection `joint_refine` all call it.
+variable-projection `joint_refine` all call it. Its residual comes from
+`model_residuals`, the one subtraction of a fit from the data.
 
 `_descend` is the one descent loop of every local search and `_backtrack`
 its one Armijo rule, to which an ascent passes the negated beam objective.
@@ -199,6 +200,14 @@ def steering_stack(trajectories, array: ArrayConfig, L: int, wavelength: float) 
     return np.stack([trajectory_steering_matrix(t, array, L, wavelength) for t in trajectories])
 
 
+def model_residuals(A: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The one subtraction Y - sum_i A_i diag(x_i) at one frequency: ``A`` is
+    a (k, N, L) steering stack the caller already holds, ``X`` its (k, L)
+    amplitudes and ``Y`` the (N, L) data, or (k, L, m) and (N, L, m) for m
+    right-hand sides per snapshot. Builds no steering matrix."""
+    return Y - np.einsum("inl,il...->nl...", A, X)
+
+
 def project_out(A: np.ndarray, Y: np.ndarray):
     """Orthogonal-projection residual of Y against the steering stack A.
 
@@ -208,7 +217,7 @@ def project_out(A: np.ndarray, Y: np.ndarray):
     """
     X, bad = batched_snapshot_ls(A, Y)
     X = X.swapaxes(0, 1).copy()
-    return X, Y - np.einsum("inl,il...->nl...", A, X), bad
+    return X, model_residuals(A, X, Y), bad
 
 
 def project_all(trajectories, data, array: ArrayConfig, wavelengths):
@@ -352,15 +361,6 @@ def newton_step(
                       NumericsWarning, stacklevel=2)
     u_new, _ = _backtrack(lambda v: -value(v), u, g, -g, -J0, bounds, physical)
     return TrajectoryParams.from_vector(model, u_new), False
-
-
-def model_residuals(trajectories, amplitudes, blocks, array, wavelengths):
-    """Residual matrices Y_f - sum_i A_i diag(x_i) for per-frequency (k, L)
-    amplitudes, plus the (k, N, L) steering stacks they were built from."""
-    L = blocks[0].snapshots
-    steering = [steering_stack(trajectories, array, L, lam) for lam in wavelengths]
-    fitted = [np.einsum("inl,il->nl", A, X) for A, X in zip(steering, amplitudes)]
-    return [b.data - f for b, f in zip(blocks, fitted)], steering
 
 
 def residual_energy(residuals) -> float:

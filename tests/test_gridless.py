@@ -14,10 +14,13 @@ from trajloc import (
     TrajectoryModel,
     TrajectoryParams,
     build_grid,
+    find_peaks,
     grid_point,
     min_grid_rmse,
     synthesize_block,
+    tl_cbf_spectrum,
     tl_nomp,
+    tl_omp,
     tl_sfw,
     trajectory_rmse,
 )
@@ -25,8 +28,8 @@ from trajloc import gridless
 from trajloc.grids import grid_index
 from trajloc.gridalgos import grid_beam_power
 from trajloc.harness import builtin_experiment, materialize
-from trajloc.model import block_wavelengths, trajectory_in_bounds, wavelength_for
-from trajloc.optim import model_residuals, project_out, steering_stack
+from trajloc.model import block_wavelengths, doas, trajectory_in_bounds, wavelength_for
+from trajloc.optim import amplitudes_ls, model_residuals, project_out, steering_stack
 from conftest import source_order_pair
 
 LINEAR = TrajectoryModel.polynomial(1)
@@ -75,8 +78,9 @@ class TestTlSfw:
         blocks, _ = synthesize_block(four_sources, array, 30, 5.0, seed=1)
         estimates, trace = tl_sfw(blocks, linear_grid, array, 4)
         W = [e.params for e in estimates]
-        X = [np.stack([e.amplitudes[0] for e in estimates])]
-        (R,), _ = model_residuals(W, X, blocks, array, [wavelength_for(array, None)])
+        X = np.stack([e.amplitudes[0] for e in estimates])
+        A = steering_stack(W, array, 30, wavelength_for(array, None))
+        R = model_residuals(A, X, blocks[0].data)
         assert np.linalg.norm(R) == pytest.approx(trace.residual_norms[-1], rel=1e-12)
 
     def test_joint_fit_error_non_increasing_across_sources(self, array, linear_grid, four_sources):
@@ -153,6 +157,20 @@ class TestTlNomp:
         estimates, _ = tl_nomp(blocks, linear_grid, array, 4)
         for e in estimates:
             assert bounds.contains(e.params.vector())
+
+
+@pytest.mark.parametrize("frequencies", [None, (1400.0, 1600.0, 1800.0)])
+@pytest.mark.parametrize("estimator", [tl_omp, tl_sfw, tl_nomp])
+def test_amplitudes_are_least_squares_fit_of_returned_trajectories(
+    four_sources, linear_grid, estimator, frequencies
+):
+    array = ArrayConfig(10) if frequencies is None else ArrayConfig.for_frequencies(10, frequencies)
+    blocks, _ = synthesize_block(four_sources, array, 30, 5.0, frequencies, seed=10)
+    estimates, _ = estimator(blocks, linear_grid, array, 4)
+    fit = amplitudes_ls([e.params for e in estimates], blocks, array)
+    for i, e in enumerate(estimates):
+        assert len(e.amplitudes) == len(blocks)
+        assert all(np.array_equal(x, X_f[i]) for x, X_f in zip(e.amplitudes, fit))
 
 
 class TestCoarseStarts:
@@ -326,6 +344,28 @@ class TestWidebandDegeneracy:
         g_nb = tl_sbl(nb, grid, narrow_arr, 2, 10 ** (-0.5))[0]
         g_wb = tl_sbl(wb, grid, wide_arr, 2, 10 ** (-0.5))[0]
         assert np.array_equal(g_nb.values, g_wb.values)
+
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=2, deadline=None, derandomize=True)
+    def test_reversed_blocks_leave_estimates_unchanged(self, seed):
+        # every frequency enters the estimators through a sum over blocks,
+        # which reversing only reorders
+        cell = materialize(builtin_experiment("wideband"), "freq_count", 3.0)
+        blocks, _ = synthesize_block(
+            cell.sources, cell.array, cell.snapshots, cell.snr_db, cell.frequencies, seed
+        )
+        K = len(cell.sources)
+        runs = (blocks, blocks[::-1])
+        peaks = [find_peaks(tl_cbf_spectrum(b, cell.grid, cell.array), K).params for b in runs]
+        assert peaks[0] == peaks[1]
+        plain, reversed_ = (tl_omp(b, cell.grid, cell.array, K)[0] for b in runs)
+        for a, b in zip(plain, reversed_):
+            assert a.params == b.params
+            assert all(np.array_equal(x, y) for x, y in zip(a.amplitudes, b.amplitudes[::-1]))
+        for estimator in (tl_sfw, tl_nomp):
+            plain, reversed_ = (estimator(b, cell.grid, cell.array, K)[0] for b in runs)
+            for a, b in zip(plain, reversed_):
+                assert np.abs(doas(a.params, 30) - doas(b.params, 30)).max() <= 1e-6
 
 
 def deterministic_crb(src, array, L, snr_db, h=1e-5):

@@ -156,8 +156,9 @@ class TestAmplitudes:
         blocks, _ = synthesize_block(four_sources, array, 30, 5.0, seed=4)
         lams = block_wavelengths(array, blocks)
         X = amplitudes_ls(four_sources, blocks, array)
-        residuals, steering = model_residuals(four_sources, X, blocks, array, lams)
-        ip = np.einsum("inl,nl->il", np.conj(steering[0]), residuals[0])
+        A = steering_stack(four_sources, array, 30, lams[0])
+        R = model_residuals(A, X[0], blocks[0].data)
+        ip = np.einsum("inl,nl->il", np.conj(A), R)
         scale = np.linalg.norm(blocks[0].data) * np.sqrt(10)
         assert np.abs(ip).max() / scale < 1e-9
 
@@ -371,7 +372,8 @@ class TestJointRefine:
         def fit_at(W):
             X = amplitudes_ls(W, blocks, array)
             lams = block_wavelengths(array, blocks)
-            R, _ = model_residuals(W, X, blocks, array, lams)
+            stacks = [steering_stack(W, array, 30, lam) for lam in lams]
+            R = [model_residuals(A, X_f, b.data) for A, X_f, b in zip(stacks, X, blocks)]
             return 0.5 * sum(np.sum(np.abs(r) ** 2) for r in R)
 
         for _ in range(20):
@@ -433,7 +435,10 @@ class TestJointRefine:
         start = [TrajectoryParams(LINEAR, 21.0, (1.5,)), TrajectoryParams(LINEAR, -41.0, (-2.5,))]
         monkeypatch.setattr(optim, "JOINT_MAX_ITERS", max_iters)
         W, X, report, R = joint_refine(start, blocks, array, self.bounds())
-        rebuilt, _ = model_residuals(W, X, blocks, array, block_wavelengths(array, blocks))
+        rebuilt = [
+            model_residuals(steering_stack(W, array, 30, lam), X_f, b.data)
+            for lam, X_f, b in zip(block_wavelengths(array, blocks), X, blocks)
+        ]
         assert len(R) == len(freqs)
         for R_f, rebuilt_f in zip(R, rebuilt):
             assert np.array_equal(R_f, rebuilt_f)
