@@ -38,12 +38,12 @@ from .model import (
     ArrayConfig,
     SourceEstimate,
     TrajectoryParams,
+    _phase_scale,
     block_wavelengths,
     trajectory_steering_matrix,  # noqa: F401 -- module attribute that perfbench's tracer rebinds
 )
 from .optim import (
     NumericsWarning,
-    _phase_scale,
     amplitudes_ls,
     project_all,
     residual_energy,

@@ -185,15 +185,21 @@ def trajectory_in_bounds(params: TrajectoryParams, L: int) -> bool:
     return bool(np.all(np.abs(theta) < 90.0))
 
 
+def _phase_scale(array: ArrayConfig, wavelength: float) -> float:
+    # 2*pi*d/lambda, the per-sensor phase increment at sin(theta) = 1; every
+    # steering matrix, phase table and beam objective takes it from here
+    return 2.0 * np.pi * array.spacing / wavelength
+
+
 def steering_vector(theta: float, array: ArrayConfig, wavelength: float) -> np.ndarray:
     """Far-field ULA steering vector at DOA ``theta`` degrees.
 
-    Element n is ``exp(j*2*pi*n*(d/lambda)*sin(theta))``; element 0 is
+    Element n is ``exp(j*2*pi*n*d/lambda*sin(theta))``; element 0 is
     exactly 1.
     """
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
-    phase = 2.0 * np.pi * (array.spacing / wavelength) * np.sin(theta * DEG)
+    phase = _phase_scale(array, wavelength) * np.sin(theta * DEG)
     return np.exp(1j * phase * np.arange(array.n_sensors))
 
 
@@ -204,7 +210,7 @@ def trajectory_steering_matrix(
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
     theta = doas(params, L)
-    phase = 2.0 * np.pi * (array.spacing / wavelength) * np.sin(theta * DEG)
+    phase = _phase_scale(array, wavelength) * np.sin(theta * DEG)
     return np.exp(1j * np.arange(array.n_sensors)[:, None] * phase[None, :])
 
 

@@ -34,6 +34,7 @@ from .model import (
     DEG,
     ArrayConfig,
     TrajectoryParams,
+    _phase_scale,
     block_wavelengths,
     doa_map,
     doas,
@@ -101,11 +102,6 @@ class OptimReport:
     final_objective: float
     step_norms: tuple[float, ...]
     objectives: tuple[float, ...] = ()  # value after each iteration
-
-
-def _phase_scale(array: ArrayConfig, wavelength: float) -> float:
-    # 2*pi*d/lambda, the per-sensor phase increment at sin(theta) = 1
-    return 2.0 * np.pi * array.spacing / wavelength
 
 
 def _physical(T: np.ndarray):
