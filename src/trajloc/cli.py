@@ -61,11 +61,11 @@ def _overridden(config, args):
 
 
 def cmd_synth(args) -> int:
-    config = harness.load_config(args.config)
+    config = harness.apply_overrides(harness.load_config(args.config), seed=args.seed)
     sweep_name, values = harness.sweep_points(config)
     if len(values) != 1:
         raise SystemExit("synth needs a single-point scenario (no sweep axes)")
-    seed = config.base_seed if args.seed is None else args.seed
+    seed = config.base_seed
     cell = harness.materialize(config, sweep_name, values[0])
     blocks, truth = synthesize_block(
         cell.sources, cell.array, cell.snapshots, cell.snr_db, cell.frequencies, seed

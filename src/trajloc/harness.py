@@ -121,6 +121,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.sensors < 2:
+            raise ValueError(f"sensors: a uniform linear array needs at least 2, got {self.sensors}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed: must be a non-negative integer, got {self.base_seed}")
         bad = [a for a in self.algorithms if a not in ESTIMATORS]
         if bad:
             raise ValueError(f"unknown algorithms: {bad}")

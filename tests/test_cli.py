@@ -112,6 +112,8 @@ def test_run_without_sources_names_the_key(tmp_path):
         ("sources: [[0, 1]]\nsweep_kind: phi_step\nsweep_values: [0]", "sweep_values"),
         ("sources: [[0, 1]]\nfrequencies: [.nan]", "frequencies"),
         ("sources: [[0, 1]]\nsnr_db: .nan", "snr_db"),
+        ("sources: [[0, 1]]\nsensors: 1", "sensors"),
+        ("sources: [[0, 1]]\nbase_seed: -5", "base_seed"),
     ],
 )
 def test_run_names_a_wrong_shaped_key(tmp_path, text, key):
@@ -121,6 +123,13 @@ def test_run_names_a_wrong_shaped_key(tmp_path, text, key):
         main(["run", "--config", str(p), "--out", str(tmp_path / "x"), "--trials", "1"])
     message = str(exc.value.code)
     assert message.startswith("error: ") and f" {key}: " in message
+
+
+@pytest.mark.parametrize("command", ["run", "synth"])
+def test_negative_seed_override_names_base_seed(config_path, tmp_path, command):
+    with pytest.raises(SystemExit, match="^error: base_seed: "):
+        main([command, "--config", config_path, "--out", str(tmp_path / "x"), "--seed", "-5"])
+    assert not (tmp_path / "x").exists()
 
 
 def test_run_writes_csvs(config_path, tmp_path, capsys):
