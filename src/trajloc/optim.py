@@ -20,6 +20,10 @@ variable-projection `joint_refine` all call it. Its residual comes from
 
 `_descend` is the one descent loop of every local search and `_backtrack`
 its one Armijo rule, to which an ascent passes the negated beam objective.
+A line search evaluates only candidates whose first-order change lowers
+the value by more than `ROUNDOFF` of it: below that floor an accepted step
+would be rounding luck (More & Thuente, ACM TOMS 1994), so a search whose
+steps all predict less ends without evaluating them.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ ARMIJO = 1e-4
 BACKTRACK = 0.5
 MAX_HALVINGS = 60
 STEP_TOL = 1e-10  # an ascent or refine stops at a shorter parameter step
+ROUNDOFF = 1e-14  # a line search skips a step predicting a smaller relative change
 LOCAL_MAX_ITERS = 100
 JOINT_MAX_ITERS = 100
 PHI_LIMIT = 89.0  # |phi| bound of `Bounds.from_grid`, inside the model's range
@@ -93,7 +98,8 @@ class Bounds:
 @dataclass(frozen=True)
 class OptimReport:
     """What one local search did: ``iterations`` counts its backtracking
-    searches, ``converged`` means the last step was shorter than `STEP_TOL`.
+    searches, ``converged`` means the last step was shorter than `STEP_TOL`,
+    which includes a search that stopped at the rounding floor without a step.
     ``final_objective`` and ``objectives`` are in the caller's sense: beam
     power for `maximize_local`, half the squared residual for `joint_refine`."""
 
@@ -133,6 +139,31 @@ def objective(params: TrajectoryParams, residuals, array: ArrayConfig, wavelengt
     return total / L
 
 
+def _value_grad_hess(params: TrajectoryParams, residuals, array: ArrayConfig, wavelengths):
+    """(`objective`, gradient, Hessian) from one pass of moments; the value
+    is summed exactly as `objective` sums it, so the two are bit-identical."""
+    L = residuals[0].shape[1]
+    theta = doas(params, L)
+    T = doa_map(params.model, L)  # rows: d theta_l / d parameter
+    cos_t = np.cos(theta * DEG)
+    sin_t = np.sin(theta * DEG)
+    D = T.shape[0]
+    total = 0.0
+    g = np.zeros(D)
+    H = np.zeros((D, D))
+    for R, lam in zip(residuals, wavelengths):
+        cf = _phase_scale(array, lam)
+        z0, z1, z2 = _moments(theta, R, cf, 2)
+        total += float(np.sum(np.abs(z0) ** 2))
+        dz = -1j * cf * DEG * cos_t * z1
+        d2z = 1j * cf * DEG**2 * sin_t * z1 - (cf * DEG * cos_t) ** 2 * z2
+        dF = 2.0 * np.real(np.conj(z0) * dz)
+        d2F = 2.0 * (np.abs(dz) ** 2 + np.real(np.conj(z0) * d2z))
+        g += T @ dF
+        H += (T * d2F) @ T.T
+    return total / L, g / L, H / L
+
+
 def objective_grad_hess(params: TrajectoryParams, residuals, array: ArrayConfig, wavelengths):
     """Analytic gradient and Hessian of `objective` in the trajectory
     parameters (degrees).
@@ -141,24 +172,7 @@ def objective_grad_hess(params: TrajectoryParams, residuals, array: ArrayConfig,
     with the linear snapshot basis; the Hessian keeps both the |dz|^2 and the
     Re(conj(z) * d2z) terms.
     """
-    L = residuals[0].shape[1]
-    theta = doas(params, L)
-    T = doa_map(params.model, L)  # rows: d theta_l / d parameter
-    cos_t = np.cos(theta * DEG)
-    sin_t = np.sin(theta * DEG)
-    D = T.shape[0]
-    g = np.zeros(D)
-    H = np.zeros((D, D))
-    for R, lam in zip(residuals, wavelengths):
-        cf = _phase_scale(array, lam)
-        z0, z1, z2 = _moments(theta, R, cf, 2)
-        dz = -1j * cf * DEG * cos_t * z1
-        d2z = 1j * cf * DEG**2 * sin_t * z1 - (cf * DEG * cos_t) ** 2 * z2
-        dF = 2.0 * np.real(np.conj(z0) * dz)
-        d2F = 2.0 * (np.abs(dz) ** 2 + np.real(np.conj(z0) * d2z))
-        g += T @ dF
-        H += (T * d2F) @ T.T
-    return g / L, H / L
+    return _value_grad_hess(params, residuals, array, wavelengths)[1:]
 
 
 def batched_snapshot_ls(A: np.ndarray, Y: np.ndarray):
@@ -254,18 +268,29 @@ def amplitudes_ls(trajectories, blocks, array: ArrayConfig):
 
 def _backtrack(value, u, d, g, base, bounds, physical):
     """The one Armijo rule: projected backtracking down ``value`` (gradient g
-    at u) along d. Returns (point, value) with value(point) <= base; a
-    candidate failing ``physical`` is not evaluated. The search gives up,
-    returning (u, base), once the clipped step is shorter than `STEP_TOL`."""
+    at u) along d. Returns (point, value) with value(point) <= base.
+
+    A candidate is evaluated only if it passes ``physical`` and its clipped
+    step predicts a first-order change g . step below -`ROUNDOFF` * |base|,
+    the value's rounding floor. An unclipped step that predicts less ends the
+    search, as every shorter step predicts less still; a clipped one is
+    halved on. The search gives up, returning (u, base), there or once the
+    clipped step is shorter than `STEP_TOL`."""
+    floor = -ROUNDOFF * abs(base)
     t = 1.0
     for _ in range(MAX_HALVINGS):
-        cand = bounds.clip(u + t * d)
+        full = u + t * d
+        cand = bounds.clip(full)
         step = cand - u
         if np.linalg.norm(step) < STEP_TOL:
             break
-        if physical(cand):
+        change = float(g @ step)
+        if change >= floor:
+            if np.array_equal(cand, full):
+                break
+        elif physical(cand):
             vc = value(cand)
-            if vc <= base + ARMIJO * min(float(g @ step), 0.0):
+            if vc <= base + ARMIJO * change:
                 return cand, vc
         t *= BACKTRACK
     return u, base
@@ -275,7 +300,9 @@ def _descend(value, direction, u, bounds, physical, max_iters):
     """The one descent loop of every local search; an ascent passes its
     negated objective. Each pass backtracks along ``direction(u) -> (gradient,
     direction)``, so the value never rises. Stops once a step is shorter than
-    `STEP_TOL` or after ``max_iters`` passes. Returns (point, OptimReport)."""
+    `STEP_TOL`, which includes a search that found no step predicting a change
+    beyond the rounding floor, or after ``max_iters`` passes. Returns (point,
+    OptimReport)."""
     E = value(u)
     step_norms = []
     objectives = []
@@ -338,14 +365,15 @@ def newton_step(
     The candidate ``omega - H^{-1} g`` (projected onto the bounds) is kept
     only if it stays inside (-90, 90) degrees and the objective does not
     decrease; otherwise one backtracking gradient-ascent step is taken
-    instead. Returns the new parameters and whether it was used.
+    instead, under `_backtrack`'s rounding floor. The starting objective
+    comes from the same moments as g and H, not from a separate `objective`
+    call. Returns the new parameters and whether the Newton step was used.
     """
     model = omega.model
     u = bounds.clip(omega.vector())
     physical = _physical(doa_map(model, residuals[0].shape[1]))
     value = lambda v: objective(TrajectoryParams.from_vector(model, v), residuals, array, wavelengths)
-    J0 = value(u)
-    g, H = objective_grad_hess(
+    J0, g, H = _value_grad_hess(
         TrajectoryParams.from_vector(model, u), residuals, array, wavelengths
     )
     try:

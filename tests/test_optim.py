@@ -17,7 +17,9 @@ from trajloc import (
     objective_grad_hess,
     synthesize_block,
     tl_cbf_spectrum,
+    tl_sfw,
 )
+from trajloc.harness import builtin_experiment, materialize
 from trajloc.model import block_wavelengths, trajectory_steering_matrix, wavelength_for
 from trajloc.optim import (
     BACKTRACK,
@@ -98,6 +100,21 @@ class TestObjective:
         a = objective(TrajectoryParams(LINEAR, 10, (1,)), [R], array, [lam])
         b = objective(TrajectoryParams(LINEAR, 10.0, (1.0,)), [R], array, [lam])
         assert a == b
+
+
+@pytest.mark.parametrize("freqs", [None, (1400.0, 1600.0, 1800.0)])
+def test_value_from_gradient_moments_equals_objective(freqs):
+    rng = np.random.default_rng(21)
+    array = ArrayConfig.for_frequencies(10, freqs) if freqs else ArrayConfig(10)
+    lams = [wavelength_for(array, f) for f in (freqs or (None,))]
+    residuals = [random_residual(rng) for _ in lams]
+    model = TrajectoryModel.polynomial(2)
+    for _ in range(5):
+        params = random_params(model, rng, phi_range=(-70, 70), coeff_range=(-3, 3))
+        value, g, H = optim._value_grad_hess(params, residuals, array, lams)
+        assert value == objective(params, residuals, array, lams)
+        g_ref, H_ref = objective_grad_hess(params, residuals, array, lams)
+        assert np.array_equal(g, g_ref) and np.array_equal(H, H_ref)
 
 
 class TestDerivatives:
@@ -294,6 +311,19 @@ class TestNewtonStep:
         err1 = np.linalg.norm(out.vector() - src.vector())
         assert err1 < 0.05 * err0
 
+    def test_accepted_step_evaluates_objective_once(self, array, monkeypatch):
+        # the starting value comes from the gradient's moments, so only the
+        # Newton candidate costs an `objective` call
+        src = TrajectoryParams(LINEAR, 17.3, (2.2,))
+        blocks, _ = synthesize_block([src], array, 30, None, seed=5)
+        lams = block_wavelengths(array, blocks)
+        bounds = Bounds((-89.0, -6.0), (89.0, 6.0))
+        calls = []
+        plain = optim.objective
+        monkeypatch.setattr(optim, "objective", lambda *a: calls.append(a) or plain(*a))
+        _, used = newton_step(TrajectoryParams(LINEAR, 17.33, (2.21,)), [blocks[0].data], array, lams, bounds)
+        assert used and len(calls) == 1
+
     def test_never_decreases_objective(self, array):
         rng = np.random.default_rng(9)
         lams = [wavelength_for(array, None)]
@@ -310,9 +340,11 @@ class TestNewtonStep:
 class TestBacktrack:
     @pytest.mark.parametrize("ascent", [False, True])
     def test_failing_search_stops_at_step_tol(self, ascent):
-        # every candidate is worse than the start's 0: the search halves down
-        # to STEP_TOL, never evaluates a shorter step, and returns the start.
-        # An ascent passes its negated objective and gradient.
+        # An ascent passes its negated objective and gradient, so d points
+        # downhill and every candidate is worse than the start's 0: the search
+        # halves down to STEP_TOL, never evaluates a shorter step, and returns
+        # the start. A descent along d = g predicts a rise at every step
+        # length, so it evaluates nothing and returns the start.
         u = np.array([10.0, 1.0])
         d = np.array([3.0, -0.5])
         sign = -1.0 if ascent else 1.0
@@ -325,8 +357,76 @@ class TestBacktrack:
         bounds = Bounds((-89.0, -6.0), (89.0, 6.0))
         point, val = _backtrack(lambda v: sign * f(v), u, d, sign * d, 0.0, bounds, lambda v: True)
         assert np.array_equal(point, u) and val == 0.0
+        if not ascent:
+            assert evaluated == []
+            return
         lengths = [np.linalg.norm(v - u) for v in evaluated]
         assert min(lengths) >= STEP_TOL > min(lengths) * BACKTRACK
+
+    def test_step_below_rounding_floor_is_not_evaluated(self):
+        # g . d = -1e-13 predicts less than ROUNDOFF * 30 = 3e-13: the value
+        # cannot tell that step from rounding, and no shorter step either
+        u = np.array([10.0, 1.0])
+        d = np.array([1e-3, 0.0])
+        g = np.array([-1e-10, 0.0])
+        evaluated = []
+
+        def value(v):
+            evaluated.append(v.copy())
+            return 29.0
+
+        bounds = Bounds((-89.0, -6.0), (89.0, 6.0))
+        point, val = _backtrack(value, u, d, g, 30.0, bounds, lambda v: True)
+        assert np.array_equal(point, u) and val == 30.0 and evaluated == []
+        # a hundredfold gradient predicts -1e-11, above the floor: evaluated
+        point, val = _backtrack(value, u, d, 100 * g, 30.0, bounds, lambda v: True)
+        assert np.array_equal(point, u + d) and val == 29.0 and len(evaluated) == 1
+        assert optim.ROUNDOFF * 30.0 == pytest.approx(3e-13)
+
+    def test_clipped_uphill_step_halves_to_a_descent(self):
+        # d descends (g . d = -2), but the box clips its first two steps to
+        # (1, -1) and (1, -0.5), which predict +1 and 0; halving goes on past
+        # them, unevaluated, to the unclipped (1, -0.25), which predicts -0.5
+        u = np.zeros(2)
+        d = np.array([4.0, -1.0])
+        g = np.array([-1.0, -2.0])
+        evaluated = []
+
+        def value(v):
+            evaluated.append(v.copy())
+            return -1.0
+
+        bounds = Bounds((-1.0, -1.0), (1.0, 1.0))
+        point, val = _backtrack(value, u, d, g, 0.0, bounds, lambda v: True)
+        assert np.array_equal(point, [1.0, -0.25]) and val == -1.0
+        assert len(evaluated) == 1 and np.array_equal(evaluated[0], point)
+
+    def test_tl_sfw_failed_searches_evaluate_nothing(self, monkeypatch):
+        # before the rounding floor, about half of a 5 dB trial's fit
+        # evaluations went to searches that ended back at their start
+        cell = materialize(builtin_experiment("snr"), "snr_db", 5.0)
+        blocks, truth = synthesize_block(
+            cell.sources, cell.array, cell.snapshots, cell.snr_db, cell.frequencies, 600
+        )
+        searches = []
+        backtrack = optim._backtrack
+
+        def counted(value, u, *args):
+            evaluated = []
+
+            def wrapped(v):
+                evaluated.append(v)
+                return value(v)
+
+            point, val = backtrack(wrapped, u, *args)
+            searches.append((np.array_equal(point, u), len(evaluated)))
+            return point, val
+
+        monkeypatch.setattr(optim, "_backtrack", counted)
+        tl_sfw(blocks, cell.grid, cell.array, len(truth.sources))
+        failed = [n for at_start, n in searches if at_start]
+        assert failed and any(n for at_start, n in searches if not at_start)
+        assert failed == [0] * len(failed)
 
 
 class TestJointRefine:
