@@ -24,6 +24,11 @@ class GridAxis:
     stop: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.start, self.step, self.stop))):
+            raise ValueError(
+                f"axis {self.name}: start, step and stop must be finite, "
+                f"got [{self.start}, {self.step}, {self.stop}]"
+            )
         if self.step <= 0:
             raise ValueError(f"axis {self.name}: step must be positive")
         if self.stop < self.start:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .gridalgos import PEAK_EXCESS, find_peaks, tl_cbf_spectrum, tl_omp, tl_sbl
 from .gridless import tl_nomp, tl_sfw
-from .grids import ParamGrid, build_grid
+from .grids import GridAxis, ParamGrid, build_grid
 from .metrics import DETECTION_THRESHOLD, ospa_assign
 from .model import (
     BANDLIMITED,
@@ -160,6 +160,17 @@ class ScenarioConfig:
             raise ValueError(f"snr_db: must be finite dB, got {self.snr_db}")
         if self.frequencies and not all(0 < f < np.inf for f in self.frequencies):
             raise ValueError(f"frequencies: must be positive finite Hz, got {list(self.frequencies)}")
+        names = ["phi", *coeff_axis_names(self.model)]
+        if len(self.grid_coeffs) != len(names) - 1:
+            raise ValueError(
+                f"grid_coeffs: the model needs {len(names) - 1} coefficient axes, got {len(self.grid_coeffs)}"
+            )
+        axes = zip(names, (self.grid_phi, *self.grid_coeffs))
+        for i, (name, spec) in enumerate(axes):
+            try:
+                GridAxis(name, *spec)
+            except ValueError as exc:
+                raise ValueError(f"{'grid_coeffs' if i else 'grid_phi'}: {exc}") from exc
         if "tl-sbl" in self.algorithms and self._may_be_wideband():
             raise ValueError("tl-sbl supports narrowband (or single-frequency) data only")
 
@@ -212,10 +223,6 @@ def coeff_axis_names(model: TrajectoryModel) -> list[str]:
 def scenario_grid(model: TrajectoryModel, grid_phi, grid_coeffs) -> ParamGrid:
     names = ["phi"] + coeff_axis_names(model)
     specs = [grid_phi] + list(grid_coeffs)
-    if len(specs) != len(names):
-        raise ValueError(
-            f"model needs {len(names) - 1} coefficient axes, got {len(grid_coeffs)}"
-        )
     return build_grid([(n, a, s, b) for n, (a, s, b) in zip(names, specs)], model)
 
 
@@ -587,10 +594,9 @@ def load_config(path: str) -> ScenarioConfig:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: {key}: {exc}") from exc
 
-    kind, nu = read("model", str, POLYNOMIAL), read("nu", float)
+    kind, nu, order = read("model", str, POLYNOMIAL), read("nu", float), read("order", int, 1)
     if kind == BANDLIMITED and nu is None:
         raise ValueError(f"{path}: bandlimited model requires an explicit nu")
-    model = TrajectoryModel(kind, read("order", int, 1), nu)
     grid_phi = read("grid_phi", _triple, (-85.0, 2.0, 85.0))
     grid_coeffs = read("grid_coeffs", _list_of(_triple), ((-5.0, 0.5, 5.0),))
     sources = read("sources", _list_of(_source), ())
@@ -600,15 +606,19 @@ def load_config(path: str) -> ScenarioConfig:
             raise ValueError(f"{path}: sweep_kind and sweep_values go together")
         sweep = None
     fields = {k: read(k, cast) for k, cast in FIELD_KEYS.items() if data.get(k) is not None}
-    return ScenarioConfig(
-        name=read("name", str, os.path.splitext(os.path.basename(path))[0]),
-        model=model,
-        grid_phi=grid_phi,
-        grid_coeffs=grid_coeffs,
-        sources=sources,
-        sweep=sweep,
-        **fields,
-    )
+    name = read("name", str, os.path.splitext(os.path.basename(path))[0])
+    try:
+        return ScenarioConfig(
+            name=name,
+            model=TrajectoryModel(kind, order, nu),
+            grid_phi=grid_phi,
+            grid_coeffs=grid_coeffs,
+            sources=sources,
+            sweep=sweep,
+            **fields,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def apply_overrides(config: ScenarioConfig, trials=None, seed=None, algorithms=None):

@@ -38,8 +38,8 @@ class ArrayConfig:
     def __post_init__(self):
         if self.n_sensors < 2:
             raise ValueError("ULA needs at least 2 sensors")
-        if self.spacing <= 0:
-            raise ValueError("sensor spacing must be positive")
+        if not 0 < self.spacing < np.inf:
+            raise ValueError(f"sensor spacing must be positive and finite, got {self.spacing}")
 
     @classmethod
     def for_frequencies(cls, n_sensors: int, frequencies):
@@ -85,8 +85,8 @@ class TrajectoryModel:
         elif self.kind == BANDLIMITED:
             if self.order < 1:
                 raise ValueError("bandlimited order must be >= 1")
-            if self.nu is None or self.nu <= 0:
-                raise ValueError("bandlimited model needs nu > 0")
+            if self.nu is None or not 0 < self.nu < np.inf:
+                raise ValueError(f"nu: a bandlimited model needs 0 < nu < inf, got {self.nu}")
         else:
             raise ValueError(f"unknown trajectory model kind: {self.kind!r}")
 

@@ -114,6 +114,12 @@ def test_run_without_sources_names_the_key(tmp_path):
         ("sources: [[0, 1]]\nsnr_db: .nan", "snr_db"),
         ("sources: [[0, 1]]\nsensors: 1", "sensors"),
         ("sources: [[0, 1]]\nbase_seed: -5", "base_seed"),
+        ("sources: [[0, 1]]\ngrid_phi: [-85, .nan, 85]", "grid_phi"),
+        ("sources: [[0, 1]]\ngrid_phi: [-85, 2, .inf]", "grid_phi"),
+        ("sources: [[0, 1]]\ngrid_coeffs: [[-5, .nan, 5]]", "grid_coeffs"),
+        ("model: bandlimited\nnu: .nan", "nu"),
+        ("model: bandlimited\nnu: .inf", "nu"),
+        ("sources: [[0, 1, 1]]\norder: 2", "grid_coeffs"),
     ],
 )
 def test_run_names_a_wrong_shaped_key(tmp_path, text, key):

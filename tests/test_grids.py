@@ -65,6 +65,12 @@ def test_invalid_axes():
         build_grid([("phi", -85, 2, 85)], TrajectoryModel.polynomial(1))
 
 
+@pytest.mark.parametrize("axis", [(np.nan, 2, 85), (-85, np.nan, 85), (-85, 2, np.inf), (-np.inf, 2, 85)])
+def test_non_finite_axis_refused(axis):
+    with pytest.raises(ValueError, match="axis phi: start, step and stop must be finite"):
+        build_grid([("phi", *axis)], TrajectoryModel.polynomial(0))
+
+
 def test_doa_table_matches_pointwise(linear_grid):
     from trajloc.model import doas
 

@@ -63,6 +63,13 @@ class TestTrajectoryModels:
         with pytest.raises(ValueError):
             TrajectoryModel("spline", 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_non_finite_or_zero_nu_and_spacing_refused(self, bad):
+        with pytest.raises(ValueError, match="^nu: "):
+            TrajectoryModel.bandlimited(1, bad)
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            ArrayConfig(10, bad)
+
     def test_basis_is_doa_derivative_table(self):
         model = TrajectoryModel.bandlimited(2, 0.17)
         basis = trajectory_basis(model, 12)
