@@ -111,10 +111,8 @@ def test_value_from_gradient_moments_equals_objective(freqs):
     model = TrajectoryModel.polynomial(2)
     for _ in range(5):
         params = random_params(model, rng, phi_range=(-70, 70), coeff_range=(-3, 3))
-        value, g, H = optim._value_grad_hess(params, residuals, array, lams)
+        value, _, _ = optim._value_grad_hess(params, residuals, array, lams)
         assert value == objective(params, residuals, array, lams)
-        g_ref, H_ref = objective_grad_hess(params, residuals, array, lams)
-        assert np.array_equal(g, g_ref) and np.array_equal(H, H_ref)
 
 
 class TestDerivatives:
