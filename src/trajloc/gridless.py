@@ -6,8 +6,8 @@ best new trajectory (coarse-to-fine grid start + continuous local ascent),
 then jointly refines all trajectories found so far with their amplitudes
 eliminated by variable projection.
 
-TL-NOMP adds one source per iteration with a single safeguarded Newton
-refinement, then cyclically re-refines every source found so far until the
+TL-NOMP adds one source per iteration with a single safeguarded projected
+Newton refinement (`optim.newton_step`), then cyclically re-refines every source found so far until the
 residual energy stops changing.
 
 Both carry the same residual to the next source as TL-OMP does: the data
@@ -56,12 +56,15 @@ MAX_CYCLES = 50
 
 @dataclass
 class RunTrace:
-    """Diagnostics accumulated by one estimator invocation."""
+    """Diagnostics accumulated by one estimator invocation. TL-NOMP counts
+    in ``gradient_fallbacks`` its `newton_step` calls that took no step along
+    the Newton direction."""
 
     residual_norms: list[float] = field(default_factory=list)
     fit_history: list[tuple[str, float]] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
     refinements: int = 0
+    gradient_fallbacks: int = 0
     flags: list[str] = field(default_factory=list)
 
     def add_time(self, phase: str, seconds: float):
@@ -158,7 +161,7 @@ def tl_nomp(
 
     Carries one residual R, the data minus the fit of the sources found so
     far. Per source: (i) coarse-to-fine grid start against R (`_coarse_start`,
-    as in `tl_sfw`); (ii) one safeguarded Newton step, then the new source's
+    as in `tl_sfw`); (ii) one safeguarded projected Newton step, then the new source's
     matched-filter amplitudes against R, subtracted from R; (iii) global
     cyclic refinement sweeping all sources found so far (add a source back
     into R, Newton-refine, re-estimate, subtract) until the residual energy
@@ -184,8 +187,9 @@ def tl_nomp(
         t1 = time.perf_counter()
         trace.add_time("coarse", t1 - t0)
 
-        omega, _ = newton_step(omega, R, array, wavelengths, bounds)
+        omega, used = newton_step(omega, R, array, wavelengths, bounds)
         trace.refinements += 1
+        trace.gradient_fallbacks += not used
         A_new, x_new, R = project_all([omega], R, array, wavelengths)
         W.append(omega)
         A = [np.concatenate(p) for p in zip(A, A_new)] if A else A_new
@@ -197,11 +201,12 @@ def tl_nomp(
         for cycle in range(1, MAX_CYCLES + 1):
             for i in range(len(W)):
                 R_hat = [Rf + Af[i] * Xf[i] for Rf, Af, Xf in zip(R, A, X)]
-                W[i], _ = newton_step(W[i], R_hat, array, wavelengths, bounds)
+                W[i], used = newton_step(W[i], R_hat, array, wavelengths, bounds)
                 A_i, x_i, R = project_all([W[i]], R_hat, array, wavelengths)
                 for Af, Xf, a, x in zip(A, X, A_i, x_i):
                     Af[i], Xf[i] = a[0], x[0]
                 trace.refinements += 1
+                trace.gradient_fallbacks += not used
             after = residual_energy(R)
             trace.fit_history.append((f"cycle[{k}.{cycle}]", after))
             if abs(before - after) <= tol:

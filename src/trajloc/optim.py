@@ -24,6 +24,14 @@ A line search evaluates only candidates whose first-order change lowers
 the value by more than `ROUNDOFF` of it: below that floor an accepted step
 would be rounding luck (More & Thuente, ACM TOMS 1994), so a search whose
 steps all predict less ends without evaluating them.
+
+Both beam-objective searches, `maximize_local` and `newton_step`, take
+projected Newton steps (Bertsekas, SIAM J. Control Optim. 1982) through
+`_projected_newton`: a coordinate that sits on a face of the `Bounds` box
+while its gradient points out of the box is held there, and the Newton
+system is solved on the free coordinates with the reduced Hessian. Without
+the hold, a Newton point beyond a face is clipped back onto it, usually
+lowers the objective, and leaves only gradient steps creeping along the face.
 """
 
 from __future__ import annotations
@@ -296,6 +304,21 @@ def _backtrack(value, u, d, g, base, bounds, physical):
     return u, base
 
 
+def _projected_newton(u, g, H, bounds):
+    """The projected Newton direction of an ascent at u (gradient g, Hessian
+    H): every coordinate on a face of ``bounds`` whose gradient points out of
+    the box is held (its entry of d is 0), and H_F d_F = -g_F is solved on the
+    free coordinates F with the reduced Hessian H_F. With no coordinate held
+    this is the plain Newton direction -H^{-1} g. Returns (d, H_F); a
+    singular H_F raises `np.linalg.LinAlgError`."""
+    held = ((u <= bounds.lows) & (g < 0)) | ((u >= bounds.highs) & (g > 0))
+    free = ~held
+    HF = H[np.ix_(free, free)]
+    d = np.zeros_like(u)
+    d[free] = -np.linalg.solve(HF, g[free])
+    return d, HF
+
+
 def _descend(value, direction, u, bounds, physical, max_iters):
     """The one descent loop of every local search; an ascent passes its
     negated objective. Each pass backtracks along ``direction(u) -> (gradient,
@@ -328,8 +351,11 @@ def maximize_local(
     """Box-constrained local ascent of the beam objective from ``omega0``.
 
     `_descend` on the negated objective for at most `LOCAL_MAX_ITERS`
-    passes, along Newton steps whenever the Hessian is negative definite (so
-    the quadratic model has a maximum) and the gradient otherwise; the
+    passes. Each pass holds every coordinate on a face of ``bounds`` whose
+    gradient points out of the box and backtracks along the projected Newton
+    direction (`_projected_newton`) whenever the reduced Hessian of the free
+    coordinates is negative definite (so the quadratic model has a maximum),
+    and along the gradient otherwise; the box clips every candidate, and the
     returned objective is never below the starting one.
     """
     model = omega0.model
@@ -342,8 +368,9 @@ def maximize_local(
             TrajectoryParams.from_vector(model, u), residuals, array, wavelengths
         )
         try:
-            np.linalg.cholesky(-H)
-            return -g, np.linalg.solve(-H, g)
+            d, HF = _projected_newton(u, g, H, bounds)
+            np.linalg.cholesky(-HF)
+            return -g, d
         except np.linalg.LinAlgError:
             return -g, g
 
@@ -360,14 +387,24 @@ def newton_step(
     wavelengths,
     bounds: Bounds,
 ):
-    """One safeguarded Newton step on the beam objective.
+    """One safeguarded projected Newton step on the beam objective.
 
-    The candidate ``omega - H^{-1} g`` (projected onto the bounds) is kept
-    only if it stays inside (-90, 90) degrees and the objective does not
-    decrease; otherwise one backtracking gradient-ascent step is taken
-    instead, under `_backtrack`'s rounding floor. The starting objective
-    comes from the same moments as g and H, not from a separate `objective`
-    call. Returns the new parameters and whether the Newton step was used.
+    The direction d is `_projected_newton`'s: every coordinate on a face of
+    ``bounds`` whose gradient points out of the box is held, and the Newton
+    system is solved on the others with the reduced Hessian. The steps tried,
+    in order:
+
+    1. the full step ``omega + d`` clipped to the bounds, kept if it stays
+       inside (-90, 90) degrees and the objective does not decrease;
+    2. if d ascends (g . d > 0), a backtracking search along d
+       (`_backtrack`, with its rounding floor and the same (-90, 90) test);
+    3. one backtracking gradient-ascent step, which may return the start.
+
+    A singular reduced Hessian warns and goes straight to 3. With no
+    coordinate held, d is the plain Newton direction -H^{-1} g. The starting
+    objective comes from the same moments as g and H, not from a separate
+    `objective` call. Returns the new parameters and whether a step along
+    the Newton direction (1 or 2) was taken.
     """
     model = omega.model
     u = bounds.clip(omega.vector())
@@ -376,14 +413,21 @@ def newton_step(
     J0, g, H = _value_grad_hess(
         TrajectoryParams.from_vector(model, u), residuals, array, wavelengths
     )
+    loss = lambda v: -value(v)
     try:
-        cand = bounds.clip(u - np.linalg.solve(H, g))
-        if physical(cand) and value(cand) >= J0:
-            return TrajectoryParams.from_vector(model, cand), True
+        d, _ = _projected_newton(u, g, H, bounds)
     except np.linalg.LinAlgError:
         warnings.warn("singular Hessian; falling back to gradient step",
                       NumericsWarning, stacklevel=2)
-    u_new, _ = _backtrack(lambda v: -value(v), u, g, -g, -J0, bounds, physical)
+    else:
+        cand = bounds.clip(u + d)
+        if physical(cand) and value(cand) >= J0:
+            return TrajectoryParams.from_vector(model, cand), True
+        if g @ d > 0:
+            u_new, _ = _backtrack(loss, u, d, -g, -J0, bounds, physical)
+            if not np.array_equal(u_new, u):  # an accepted step has length >= STEP_TOL
+                return TrajectoryParams.from_vector(model, u_new), True
+    u_new, _ = _backtrack(loss, u, g, -g, -J0, bounds, physical)
     return TrajectoryParams.from_vector(model, u_new), False
 
 

@@ -335,6 +335,63 @@ class TestNewtonStep:
             assert j1 >= j0 - 1e-12 * abs(j0)
 
 
+class TestProjectedNewton:
+    """A noiseless source at (17.3, 2.2) in a box whose alpha1 face 2.0 cuts
+    it off: the constrained maximum sits on that face, where phi and alpha1
+    are coupled (the basis l/(L-1) is not centred), so the Newton point from
+    near it lies beyond the face and clipping it lowers the objective."""
+
+    BOX = Bounds((-89.0, -6.0), (89.0, 2.0))
+
+    def case(self, array):
+        src = TrajectoryParams(LINEAR, 17.3, (2.2,))
+        blocks, _ = synthesize_block([src], array, 30, None, seed=5)
+        return [blocks[0].data], block_wavelengths(array, blocks)
+
+    def assert_face_maximum(self, out, R, array, lams):
+        # KKT on the face: alpha1 on the bound with an outward gradient, and
+        # phi stationary
+        g, _ = objective_grad_hess(out, R, array, lams)
+        assert out.coeffs == (2.0,) and g[1] > 0
+        assert abs(g[0]) < 1e-6
+
+    def test_newton_step_reaches_face_maximum(self, array):
+        R, lams = self.case(array)
+        omega = TrajectoryParams(LINEAR, 17.0, (1.7,))
+        for _ in range(3):
+            omega, used = newton_step(omega, R, array, lams, self.BOX)
+            assert used
+        self.assert_face_maximum(omega, R, array, lams)
+
+    def test_step_from_face_holds_the_bound_and_moves_phi(self, array):
+        # the face maximum is at phi = 17.4064; the plain Newton point
+        # (17.3, 2.2) clips to (17.3, 2.0), below the start
+        R, lams = self.case(array)
+        start = TrajectoryParams(LINEAR, 17.43, (2.0,))
+        out, used = newton_step(start, R, array, lams, self.BOX)
+        assert used and out.coeffs == (2.0,)
+        assert abs(out.phi - 17.4064) < 1e-4
+
+    def test_maximize_local_converges_on_face(self, array):
+        R, lams = self.case(array)
+        start = TrajectoryParams(LINEAR, 17.0, (1.7,))
+        out, report = maximize_local(start, R, array, lams, self.BOX)
+        assert report.converged and report.iterations <= 5
+        self.assert_face_maximum(out, R, array, lams)
+
+    def test_every_coordinate_held_returns_start(self, array):
+        # at the corner (17, 2) the gradient points out of both faces
+        R, lams = self.case(array)
+        corner = Bounds((-89.0, -6.0), (17.0, 2.0))
+        start = TrajectoryParams(LINEAR, 17.0, (2.0,))
+        g, _ = objective_grad_hess(start, R, array, lams)
+        assert np.all(g > 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, _ = newton_step(start, R, array, lams, corner)
+        assert np.array_equal(out.vector(), start.vector())
+
+
 class TestBacktrack:
     @pytest.mark.parametrize("ascent", [False, True])
     def test_failing_search_stops_at_step_tol(self, ascent):
