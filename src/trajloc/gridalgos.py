@@ -6,13 +6,17 @@ grid trajectory against a set of residual matrices; wideband inputs are
 handled non-coherently by summing that power over frequencies, so a single
 narrowband block is just the F=1 special case of the same code path.
 
-The kernel walks the grid in blocks of about a thousand rows, so the two
-(rows, L) complex arrays its sensor recursion touches stay in a core's L2
-cache instead of streaming an (M, L) table from memory once per sensor. The
-blocking changes no element's arithmetic: spectra are bit-identical to a
-whole-table pass. The same kernel scans a subset of rows, bit-identical at
-each row to the full scan, and it zeroes the grid points whose trajectory
-leaves (-90, 90) degrees.
+The kernel walks the grid in blocks of about a thousand rows. What its
+sensor recursion touches stays in a core's L2 cache: the block's accumulator,
+the block's rows of the (M, L) phasor table and a tile of the conjugated
+residual rows, where a whole-table pass would stream the table from memory
+once per sensor. The recursion runs on conj(R) against the table rows as
+they are: that gives the conjugate of each beam sum, whose squared modulus
+is the same to the bit, so no table row is conjugated and a full scan copies
+none. The blocking changes no element's arithmetic: spectra are
+bit-identical to a whole-table pass. The same kernel scans a subset of rows,
+bit-identical at each row to the full scan, and it zeroes the grid points
+whose trajectory leaves (-90, 90) degrees.
 
 A scan of at least two blocks splits its rows into one contiguous share per
 CPU the process may run on (`os.sched_getaffinity`), each scanned by its own
@@ -104,14 +108,24 @@ SBL_PRUNE = 1e-6  # TL-SBL drops a gamma below this share of the largest
 SBL_MAX_ITERS = 500
 PEAK_EXCESS = 2  # spectrum methods report K + PEAK_EXCESS peaks for K sources
 
-# Bytes of one (rows, L) complex block of the scan: two of them (phasors and
-# accumulator) stay resident in a 2 MB per-core L2 cache.
+# Bytes of one (rows, L) complex block of the scan. A 2 MB per-core L2 cache
+# holds a share's accumulator block, the block's phasor rows and its tile of
+# conj(R): N rows of about 64 KB each (`_tile_rows`), 640 KB at N = 10.
 _SCAN_BLOCK_BYTES = 1 << 19
 
 
 def _scan_rows(L: int) -> int:
     """Grid rows per scan block at block length L (1092 at L = 30)."""
     return max(1, _SCAN_BLOCK_BYTES // (16 * L))
+
+
+def _tile_rows(L: int) -> int:
+    """Rows of a scan share's tile of conj(R) at block length L (137 at
+    L = 30): the fewest whose tile row numpy adds unbuffered. Its ufunc loop
+    stages a broadcast row of up to half its buffer (`np.getbufsize`, 8192
+    elements by default) through that buffer; on numpy 2.4 such an add ran
+    at about half the speed of one with a longer row."""
+    return np.getbufsize() // (2 * L) + 1
 
 
 def _scan_workers(M: int, step: int) -> int:
@@ -129,31 +143,49 @@ def _scan_workers(M: int, step: int) -> int:
 def _scan_share(residuals, tables, rows, lo, hi, step, values):
     """Beam power of rows lo:hi of the scan, summed into ``values[lo:hi]``:
     the sensor recursion block by block, every frequency in order, in this
-    share's own scratch."""
-    L = residuals[0].shape[1]
-    conj_block = np.empty((min(step, hi - lo), L), dtype=complex)
-    acc_block = np.empty_like(conj_block)
+    share's own scratch.
+
+    The recursion runs on conj(R) against the table rows as they are, which
+    yields the conjugate of each element's sum, so |.|^2 is the same to the
+    bit and no table row is conjugated. conj(R) is repeated `_tile_rows`
+    times per row, so each Horner add is one long tile row broadcast over a
+    block's whole tiles, plus a prefix of it over the rows left over."""
+    N, L = residuals[0].shape
+    size = min(step, hi - lo)
+    width = min(size, _tile_rows(L)) * L
+    tiles = np.empty((N, width), dtype=complex)
+    acc_block = np.empty(size * L, dtype=complex)
+    gathered = None if rows is None else np.empty((size, L), dtype=complex)
     for R, table in zip(residuals, tables):
-        N = R.shape[0]
+        np.conjugate(R[:, None, :], out=tiles.reshape(N, -1, L))
         for s in range(lo, hi, step):
             e = min(s + step, hi)
-            if rows is None:
-                E = np.conjugate(table[s:e], out=conj_block[: e - s])
-            else:
-                E = np.take(table, rows[s:e], axis=0, out=conj_block[: e - s])
-                np.conjugate(E, out=E)
-            acc = acc_block[: e - s]
-            acc[...] = R[N - 1]
-            for n in range(N - 2, -1, -1):
+            E = table[s:e] if rows is None else np.take(table, rows[s:e], axis=0, out=gathered[: e - s])
+            E = E.reshape(-1)
+            acc = acc_block[: E.size]
+            whole = E.size - E.size % width
+            parts = [
+                (acc[:whole].reshape(-1, width), E[:whole].reshape(-1, width), tiles),
+                (acc[whole:], E[whole:], tiles[:, : E.size - whole]),
+            ]
+            parts = [p for p in parts if p[0].size]
+            # the first step multiplies conj(R[N-1]) without copying it into
+            # acc; the accumulator operand goes first, as in every later step,
+            # since numpy's complex multiply rounds differently when swapped
+            for a, Ea, t in parts:
+                np.multiply(t[N - 1], Ea, out=a)
+                a += t[N - 2]
+            for n in range(N - 3, -1, -1):
                 np.multiply(acc, E, out=acc)
-                acc += R[n]
+                for a, _, t in parts:
+                    a += t[n]
             # |acc|^2 in place: fresh temporaries per block made the allocator
             # hand pages back and fault them in again on every scan
-            re, im = acc.real, acc.imag
-            np.square(re, out=re)
-            np.square(im, out=im)
-            re += im
-            values[s:e] += re.sum(axis=1)
+            f = acc.view(float)
+            np.square(f, out=f)
+            re = f[0::2]
+            re += f[1::2]
+            values[s:e] += re.reshape(e - s, L).sum(axis=1)
 
 
 def grid_beam_power(
@@ -163,14 +195,18 @@ def grid_beam_power(
     at the grid points ``rows`` (strictly increasing linear indices) only.
 
     Horner recursion over the sensor index against the cached per-grid phasor
-    table, so a scan costs N complex multiplies of an (M, L) array per
-    frequency. The recursion runs over blocks of `_scan_rows` grid rows: the
-    conjugated phasors and the accumulator of one block stay in cache through
-    the whole recursion, where a whole-table pass would stream the (M, L)
-    arrays from memory once per sensor. A sub-scan gathers its table rows
-    into the same block. Every element sees the same arithmetic in the same
-    order as in a whole-table pass, so the values depend neither on the block
-    size nor on which other rows are scanned.
+    table, so a scan costs N - 1 complex multiply-adds of an (M, L) array
+    per frequency. The recursion runs on conj(R), whose sum is the conjugate
+    of a^H r with the same squared modulus, so the table needs no conjugate.
+    It runs over blocks of `_scan_rows` grid rows: the accumulator, the
+    block's table rows and the tiled conj(R) stay in cache through the whole
+    recursion, where a whole-table pass would stream the (M, L) table from
+    memory once per sensor. A full scan reads the table rows in place; a
+    sub-scan gathers them into one block of scratch. Every element sees the
+    same arithmetic in the same order as in a whole-table pass, so the
+    values depend neither on the block size nor on which other rows are
+    scanned. The residuals have at least two sensor rows, as every
+    `ArrayConfig` has at least two sensors.
 
     The rows are split into contiguous equal shares, one per thread
     (`_scan_workers`), and every thread is joined before the call returns.
@@ -266,9 +302,9 @@ def tl_omp(blocks, grid: ParamGrid, array: ArrayConfig, K: int):
     for _ in range(K):
         values = grid_beam_power(residuals, grid, array, wavelengths)
         selected.append(grid_point(grid, int(np.argmax(values))))
-        _, _, residuals = project_all(selected, residuals, array, wavelengths)
+        stacks, _, residuals = project_all(selected, residuals, array, wavelengths)
         norms.append(float(np.sqrt(residual_energy(residuals))))
-    amps = amplitudes_ls(selected, blocks, array)
+    amps = amplitudes_ls(selected, blocks, array, stacks)  # the last fit's stacks
     estimates = [
         SourceEstimate(t, tuple(X[i] for X in amps)) for i, t in enumerate(selected)
     ]

@@ -30,7 +30,7 @@ from trajloc import (
     trajectory_rmse,
 )
 from trajloc import gridalgos
-from trajloc.gridalgos import _scan_rows, grid_beam_power
+from trajloc.gridalgos import _scan_rows, _tile_rows, grid_beam_power
 from trajloc.grids import coarse_lattice, nonphysical_mask, phase_table
 from trajloc.model import (
     block_wavelengths,
@@ -124,7 +124,19 @@ def grid_of_size(M):
 
 
 ROWS = _scan_rows(30)
+TILE = _tile_rows(30)
 WIDEBAND = (1400.0, 1600.0, 1800.0)
+
+
+def scan_inputs(M, N, freqs):
+    """(grid, array, wavelengths, residuals) of a scan of M grid rows by N
+    sensors, narrowband when ``freqs`` is None."""
+    grid = grid_of_size(M)
+    array = ArrayConfig(N) if freqs is None else ArrayConfig.for_frequencies(N, freqs)
+    wavelengths = tuple(wavelength_for(array, f) for f in freqs or (None,))
+    rng = np.random.default_rng(M + N)
+    residuals = [rng.standard_normal((N, 30)) + 1j * rng.standard_normal((N, 30)) for _ in wavelengths]
+    return grid, array, wavelengths, residuals
 
 
 class TestGridBeamPower:
@@ -136,17 +148,16 @@ class TestGridBeamPower:
             (2 * ROWS + 1, 10, None),  # one row into a partial block
             (1806, 10, WIDEBAND),  # distinct wavelengths
             (2 * ROWS + 1, 2, None),  # a single Horner step
+            (2 * ROWS + TILE + 1, 3, WIDEBAND),  # two Horner steps
+            (TILE - 1, 10, None),  # less than one tile
+            (3 * TILE + 5, 10, WIDEBAND),
+            (ROWS + TILE + 1, 10, None),  # a second block of a tile and a row
+            (2 * ROWS + TILE // 2, 10, WIDEBAND),  # a last block shorter than a tile
         ],
     )
     def test_matches_whole_table_scan(self, M, N, freqs):
-        grid = grid_of_size(M)
-        array = ArrayConfig(N) if freqs is None else ArrayConfig.for_frequencies(N, freqs)
-        wavelengths = tuple(wavelength_for(array, f) for f in freqs or (None,))
-        rng = np.random.default_rng(M + N)
-        residuals = [
-            rng.standard_normal((N, 30)) + 1j * rng.standard_normal((N, 30))
-            for _ in wavelengths
-        ]
+        assert ROWS % TILE  # so every full block ends inside a tile
+        grid, array, wavelengths, residuals = scan_inputs(M, N, freqs)
         before = [R.copy() for R in residuals]
         tables = [phase_table(grid, 30, _phase_scale(array, lam)) for lam in wavelengths]
         table_copies = [t.copy() for t in tables]
@@ -161,6 +172,36 @@ class TestGridBeamPower:
             assert not t.flags.writeable
         assert np.array_equal(values, reference_beam_power(residuals, grid, array, wavelengths))
 
+
+    @pytest.mark.parametrize(
+        "N, pick",
+        [
+            (10, lambda M: 2 * np.arange(ROWS + TILE // 2)),  # a last block shorter than a tile
+            (2, lambda M: np.arange(0, M, 3)),
+            (3, lambda M: np.arange(0, M, 3)),
+        ],
+    )
+    def test_sub_scan_matches_whole_table_scan(self, N, pick):
+        grid, array, wavelengths, residuals = scan_inputs(3 * ROWS, N, WIDEBAND)
+        rows = pick(3 * ROWS)
+        values = grid_beam_power(residuals, grid, array, wavelengths, rows=rows)
+        assert np.array_equal(values, reference_beam_power(residuals, grid, array, wavelengths)[rows])
+
+    def test_full_scan_copies_no_table(self, monkeypatch):
+        """One share's scratch is an accumulator block and an N-row tile of
+        conj(R), 0.86 MB at N = 3; a copy of the 4.2 MB table of these 8
+        blocks of rows is four times the bound. One CPU: one share."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        M = 8 * ROWS
+        grid, array, wavelengths, residuals = scan_inputs(M, 3, None)
+        grid_beam_power(residuals, grid, array, wavelengths)  # the phase table and mask are cached, not counted
+        tracemalloc.start()
+        try:
+            grid_beam_power(residuals, grid, array, wavelengths)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < M * 30 * 16 / 4
 
     @pytest.mark.parametrize(
         "M, pick",
@@ -268,6 +309,8 @@ class TestParallelScan:
         assert len(shares) == min(cpus, idx.size // ROWS)
         assert [hi for _, hi in sorted(shares)] == edges[1:] and edges[0] == 0
         assert min(np.diff(edges)) >= ROWS
+        # each edge between two shares falls inside a tile of conj(R)
+        assert all(((hi - lo) % ROWS or ROWS) % TILE for lo, hi in sorted(shares)[:-1])
         assert np.array_equal(values, reference_beam_power(residuals, grid, array, wavelengths)[idx])
 
     def test_no_thread_outlives_a_scan(self, cpus):
