@@ -6,7 +6,15 @@ grid trajectory against a set of residual matrices; wideband inputs are
 handled non-coherently by summing that power over frequencies, so a single
 narrowband block is just the F=1 special case of the same code path.
 
-The kernel walks the grid in blocks of about a thousand rows. What its
+The kernel is generic in the phasors' dtype. Every scan whose caller uses
+only a decision runs it in complex64 on the cached complex64 phasor table
+(`_beam_power32`), which also returns a certified bound on each row's
+distance from the float64 scan: TL-OMP's argmax, TL-CBF's local maxima and
+their ranking, and the gridless coarse start. The rows whose decision the
+bound leaves open are rescanned in float64 (`grid_beam_power`, from phasor
+rows built on demand), so every decision is exactly the float64 scan's.
+
+The kernel walks the grid in blocks of 512 KB of accumulator. What its
 sensor recursion touches stays in a core's L2 cache: the block's accumulator,
 the block's rows of the (M, L) phasor table and a tile of the conjugated
 residual rows, where a whole-table pass would stream the table from memory
@@ -15,8 +23,8 @@ they are: that gives the conjugate of each beam sum, whose squared modulus
 is the same to the bit, so no table row is conjugated and a full scan copies
 none. The blocking changes no element's arithmetic: spectra are
 bit-identical to a whole-table pass. The same kernel scans a subset of rows,
-bit-identical at each row to the full scan, and it zeroes the grid points
-whose trajectory leaves (-90, 90) degrees.
+bit-identical at each row to the full scan, and the scans zero the grid
+points whose trajectory leaves (-90, 90) degrees.
 
 A scan of at least two blocks splits its rows into one contiguous share per
 CPU the process may run on (`os.sched_getaffinity`), each scanned by its own
@@ -29,15 +37,15 @@ thread is alive when the harness forks its worker processes.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .grids import ParamGrid, grid_point, nonphysical_mask, phase_table
+from .grids import ParamGrid, grid_point, nonphysical_mask, phase_rows, phase_table
 from .model import (
     ArrayConfig,
     SourceEstimate,
@@ -56,7 +64,11 @@ from .optim import (
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Real non-negative power (or variance) value at every grid point."""
+    """Real, finite, non-negative power (or variance) value at every grid
+    point. A TL-CBF spectrum holds the float64 scan's value at every local
+    maximum, and at every point whose local-maximum test the complex64
+    scan's bound left open together with its neighbors; elsewhere its values
+    are within that bound, at most about 1e-5 of the largest."""
 
     grid: ParamGrid
     values: np.ndarray
@@ -66,6 +78,9 @@ class Spectrum:
         object.__setattr__(self, "values", values)
         if values.shape != (self.grid.size,):
             raise ValueError(f"expected {self.grid.size} values, got {values.shape}")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"spectrum value at index {bad[0]} is {values[bad[0]]}, not finite")
         if np.any(values < 0):
             raise ValueError("spectrum values must be non-negative")
 
@@ -108,15 +123,31 @@ SBL_PRUNE = 1e-6  # TL-SBL drops a gamma below this share of the largest
 SBL_MAX_ITERS = 500
 PEAK_EXCESS = 2  # spectrum methods report K + PEAK_EXCESS peaks for K sources
 
-# Bytes of one (rows, L) complex block of the scan. A 2 MB per-core L2 cache
-# holds a share's accumulator block, the block's phasor rows and its tile of
-# conj(R): N rows of about 64 KB each (`_tile_rows`), 640 KB at N = 10.
+# Bytes of one (rows, L) block of the scan, in the tables' dtype. A 2 MB
+# per-core L2 cache holds a share's accumulator block, the block's phasor rows
+# and its tile of conj(R): N rows of `_tile_rows` * L elements each, 320 KB at
+# N = 10 in complex64.
 _SCAN_BLOCK_BYTES = 1 << 19
 
+# The certificate of a complex64 scan (`_beam_power32`). Per snapshot, a
+# complex64 Horner sum of N terms is within u32 * sum_n w_n |R[n, l]| of the
+# complex128 scan's, with w_n = _HORNER_SLOPE * n + _HORNER_BASE. Term n meets
+# n complex multiplies (sqrt(2)*gamma_2 each, Higham 2002, lemma 3.5) and at
+# most n + 1 complex adds (u each), the rounding of its table entry raised to
+# the n-th power (n u) and the rounding of conj(R) (u): (4.83 n + 2) u to
+# first order. The slack up to 5 n + 3 covers the second-order terms and the
+# complex128 scan's own rounding, 2^-29 times smaller. _TINY32 per term and
+# per square bounds what float32 underflow adds.
+_HORNER_SLOPE = 5
+_HORNER_BASE = 3
+_U32 = float(np.finfo(np.float32).eps) / 2
+_TINY32 = float(np.finfo(np.float32).tiny)
 
-def _scan_rows(L: int) -> int:
-    """Grid rows per scan block at block length L (1092 at L = 30)."""
-    return max(1, _SCAN_BLOCK_BYTES // (16 * L))
+
+def _scan_rows(L: int, dtype=complex) -> int:
+    """Grid rows per scan block at block length L: 1092 at L = 30 in
+    complex128, 2184 in complex64."""
+    return max(1, _SCAN_BLOCK_BYTES // (np.dtype(dtype).itemsize * L))
 
 
 def _tile_rows(L: int) -> int:
@@ -141,22 +172,25 @@ def _scan_workers(M: int, step: int) -> int:
 
 
 def _scan_share(residuals, tables, rows, lo, hi, step, values):
-    """Beam power of rows lo:hi of the scan, summed into ``values[lo:hi]``:
-    the sensor recursion block by block, every frequency in order, in this
-    share's own scratch.
+    """Beam power of rows lo:hi of the scan, frequency f's into
+    ``values[f, lo:hi]``: the sensor recursion block by block, every
+    frequency in order, in this share's own scratch and in the tables'
+    dtype, with each row's sum over the snapshots taken in float64.
 
     The recursion runs on conj(R) against the table rows as they are, which
     yields the conjugate of each element's sum, so |.|^2 is the same to the
-    bit and no table row is conjugated. conj(R) is repeated `_tile_rows`
-    times per row, so each Horner add is one long tile row broadcast over a
-    block's whole tiles, plus a prefix of it over the rows left over."""
+    bit and no table row is conjugated. conj(R) is rounded to the tables'
+    dtype and repeated `_tile_rows` times per row, so each Horner add is one
+    long tile row broadcast over a block's whole tiles, plus a prefix of it
+    over the rows left over."""
     N, L = residuals[0].shape
+    dtype = tables[0].dtype
     size = min(step, hi - lo)
     width = min(size, _tile_rows(L)) * L
-    tiles = np.empty((N, width), dtype=complex)
-    acc_block = np.empty(size * L, dtype=complex)
-    gathered = None if rows is None else np.empty((size, L), dtype=complex)
-    for R, table in zip(residuals, tables):
+    tiles = np.empty((N, width), dtype=dtype)
+    acc_block = np.empty(size * L, dtype=dtype)
+    gathered = None if rows is None else np.empty((size, L), dtype=dtype)
+    for R, table, out in zip(residuals, tables, values):
         np.conjugate(R[:, None, :], out=tiles.reshape(N, -1, L))
         for s in range(lo, hi, step):
             e = min(s + step, hi)
@@ -181,57 +215,29 @@ def _scan_share(residuals, tables, rows, lo, hi, step, values):
                     a += t[n]
             # |acc|^2 in place: fresh temporaries per block made the allocator
             # hand pages back and fault them in again on every scan
-            f = acc.view(float)
+            f = acc.view(acc.real.dtype)
             np.square(f, out=f)
             re = f[0::2]
             re += f[1::2]
-            values[s:e] += re.reshape(e - s, L).sum(axis=1)
+            out[s:e] = re.reshape(e - s, L).sum(axis=1, dtype=float)
 
 
-def grid_beam_power(
-    residuals, grid: ParamGrid, array: ArrayConfig, wavelengths, rows=None
-) -> np.ndarray:
-    """Beam power (1/L) sum_f sum_l |a_lf^H r_lf|^2 at every grid point, or
-    at the grid points ``rows`` (strictly increasing linear indices) only.
-
-    Horner recursion over the sensor index against the cached per-grid phasor
-    table, so a scan costs N - 1 complex multiply-adds of an (M, L) array
-    per frequency. The recursion runs on conj(R), whose sum is the conjugate
-    of a^H r with the same squared modulus, so the table needs no conjugate.
-    It runs over blocks of `_scan_rows` grid rows: the accumulator, the
-    block's table rows and the tiled conj(R) stay in cache through the whole
-    recursion, where a whole-table pass would stream the (M, L) table from
-    memory once per sensor. A full scan reads the table rows in place; a
-    sub-scan gathers them into one block of scratch. Every element sees the
-    same arithmetic in the same order as in a whole-table pass, so the
-    values depend neither on the block size nor on which other rows are
-    scanned. The residuals have at least two sensor rows, as every
-    `ArrayConfig` has at least two sensors.
-
-    The rows are split into contiguous equal shares, one per thread
-    (`_scan_workers`), and every thread is joined before the call returns.
-
-    Grid trajectories that leave (-90, 90) degrees (`nonphysical_mask`) get
-    power 0, so no peak search or argmax can return them.
-    """
-    L = residuals[0].shape[1]
-    mask = nonphysical_mask(grid, L)
-    if rows is not None:
-        rows = np.asarray(rows)
-        if rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer):
-            raise ValueError("rows must be a 1-D array of grid indices")
-        if rows.size and (rows[0] < 0 or rows[-1] >= grid.size or np.any(np.diff(rows) <= 0)):
-            raise ValueError(f"rows must be strictly increasing indices in [0, {grid.size})")
-        mask = mask[rows]
-    M = mask.size
-    step = max(1, min(M, _scan_rows(L)))
-    tables = [phase_table(grid, L, _phase_scale(array, lam)) for lam in wavelengths]  # (M, L) each
-    values = np.zeros(M)
+def _scan(residuals, tables, rows, M):
+    """Per-frequency row sums of `_scan_share` over the M table rows ``rows``
+    (every row when None), shape (F, M). The rows are split into contiguous
+    equal shares, one per thread (`_scan_workers`), and every thread is
+    joined before the call returns."""
+    L = tables[0].shape[1]
+    step = max(1, min(M, _scan_rows(L, tables[0].dtype)))
+    values = np.empty((len(tables), M))
     workers = _scan_workers(M, step)
     edges = [M * i // workers for i in range(workers + 1)]
     shares = list(zip(edges[:-1], edges[1:]))
-    # the calling thread scans the first share; a serial scan starts no thread
-    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+    if workers == 1:  # a serial scan starts no thread
+        _scan_share(residuals, tables, rows, 0, M, step, values)
+        return values
+    # the calling thread scans the first share
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
         futures = [
             pool.submit(_scan_share, residuals, tables, rows, lo, hi, step, values)
             for lo, hi in shares[1:]
@@ -239,19 +245,193 @@ def grid_beam_power(
         _scan_share(residuals, tables, rows, *shares[0], step, values)
         for f in futures:
             f.result()
+    return values
+
+
+def grid_beam_power(
+    residuals, grid: ParamGrid, array: ArrayConfig, wavelengths, rows=None
+) -> np.ndarray:
+    """Beam power (1/L) sum_f sum_l |a_lf^H r_lf|^2 at every grid point, or
+    at the grid points ``rows`` (strictly increasing linear indices) only,
+    in complex128: the reference scan, and the rescan that settles what a
+    complex64 scan (`_beam_power32`) leaves open.
+
+    Horner recursion over the sensor index against the complex128 phasor
+    rows of the scanned points (`phase_rows`, built for the call), so a scan
+    costs N - 1 complex multiply-adds of an (M, L) array per frequency. The
+    recursion runs on conj(R), whose sum is the conjugate of a^H r with the
+    same squared modulus, so the rows need no conjugate. It runs over blocks
+    of `_scan_rows` grid rows: the accumulator, the block's phasor rows and
+    the tiled conj(R) stay in cache through the whole recursion, where a
+    whole-table pass would stream the (M, L) rows from memory once per
+    sensor. Every element sees the same arithmetic in the same order as in
+    a whole-table pass, and each phasor row is the same to the bit whichever
+    rows are built with it, so the values depend neither on the block size
+    nor on which other rows are scanned. The residuals have at least two
+    sensor rows, as every `ArrayConfig` has at least two sensors.
+
+    Grid trajectories that leave (-90, 90) degrees (`nonphysical_mask`) get
+    power 0, so no peak search or argmax can return them.
+    """
+    L = residuals[0].shape[1]
+    mask = nonphysical_mask(grid, L)
+    picked = slice(None)
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise ValueError("rows must be a 1-D array of grid indices")
+        if rows.size and (rows[0] < 0 or rows[-1] >= grid.size or (rows[1:] <= rows[:-1]).any()):
+            raise ValueError(f"rows must be strictly increasing indices in [0, {grid.size})")
+        mask, picked = mask[rows], rows
+    tables = [phase_rows(grid, L, _phase_scale(array, lam), picked) for lam in wavelengths]
+    values = np.zeros(mask.size)
+    for v in _scan(residuals, tables, None, mask.size):  # frequencies in order
+        values += v
     values[mask] = 0.0
     return values / L
+
+
+def _beam_power32(residuals, grid: ParamGrid, array: ArrayConfig, wavelengths, rows=None):
+    """`grid_beam_power` run in complex64 on the cached tables (`phase_table`),
+    with a certificate: (values, bound), where |values - grid_beam_power(...)|
+    <= bound at every scanned row. ``rows`` must be valid for
+    `grid_beam_power`.
+
+    Each frequency's residual is first scaled by the power of two 2^-e that
+    brings its largest modulus into [0.5, 1), so float32 neither overflows
+    nor underflows where float64 does not, and its powers are scaled back by
+    4^e, exactly. With delta_lf the bound on snapshot l's beam sum at
+    frequency f (see `_HORNER_SLOPE`; it is the same at every grid point,
+    since every phasor has modulus 1) and Delta^2 = sum_f sum_l delta_lf^2,
+    Cauchy-Schwarz over the L F sums of a row gives
+
+        bound = (2 sqrt(L v) Delta + Delta^2) / L + 4 u32 v + underflow,
+
+    where 4 u32 v covers the rounding of the float32 squares and the sums.
+    A row whose bound is 0 (a masked row, or an all-zero residual) holds
+    its exact value.
+    """
+    N, L = residuals[0].shape
+    mask = nonphysical_mask(grid, L)
+    if rows is not None:
+        mask = mask[rows]
+    tables = [phase_table(grid, L, _phase_scale(array, lam)) for lam in wavelengths]
+    weights = _HORNER_SLOPE * np.arange(N) + _HORNER_BASE
+    scaled, exps = [], []
+    delta2 = floor = 0.0
+    for R in residuals:
+        mag = np.abs(R)
+        peak = float(mag.max())
+        e = math.frexp(peak)[1]  # 0 for an all-zero residual
+        Rs = np.ldexp(np.ascontiguousarray(R).view(float), -e).view(complex)
+        scaled.append(Rs.astype(np.complex64))  # the tiles' dtype: conj(R) fills them uncast
+        exps.append(2 * e)
+        delta = weights @ (_U32 * mag + math.ldexp(_TINY32, e))  # (L,), unscaled
+        delta[~mag.any(axis=0)] = 0.0  # an all-zero snapshot sums to 0 exactly
+        delta2 += float(delta @ delta)
+        floor += float(np.ldexp(_TINY32, 2 * e)) if peak > 0 else 0.0
+    per = _scan(scaled, tables, rows, mask.size)
+    values = np.ldexp(per[0], exps[0], out=per[0])
+    for v, e in zip(per[1:], exps[1:]):
+        values += np.ldexp(v, e, out=v)
+    values[mask] = 0.0
+    values /= L
+    bound = np.sqrt(values)
+    np.multiply(bound, 4 * _U32 * bound + 2 * np.sqrt(delta2 / L), out=bound)
+    bound += delta2 / L + floor
+    bound[mask] = 0.0
+    return values, bound
+
+
+def _rescore(values, bound, picked, rescan) -> None:
+    """Overwrite ``values`` at the indices ``picked`` with their float64
+    values ``rescan(indices)``, skipping the indices whose bound is 0, which
+    hold theirs already."""
+    picked = picked[bound[picked] > 0]
+    if picked.size:
+        values[picked] = rescan(picked)
+
+
+def _neighborhoods(centers, shape) -> np.ndarray:
+    """(centers, 3^D) linear indices of the Chebyshev-1 neighborhood of each
+    linear index in ``centers`` on a lattice of ``shape``. Clipping moves an
+    out-of-range coordinate back to the center's, inside the truncated
+    neighborhood."""
+    D = len(shape)
+    offsets = np.indices((3,) * D).reshape(D, -1) - 1  # (D, 3^D)
+    multi = tuple(c[:, None] + o[None, :] for c, o in zip(np.unravel_index(centers, shape), offsets))
+    return np.ravel_multi_index(multi, shape, mode="clip")
+
+
+def _settle_local_maxima(values, bound, shape, rescan, ranked: bool) -> np.ndarray:
+    """The local maxima of the float64 field that ``values`` approximates
+    within ``bound`` on a lattice of ``shape``, as `local_maxima` gives them,
+    settled in place: afterwards `local_maxima` of ``values`` gives them too,
+    and with ``ranked`` their values are the float64 field's, so they rank
+    as there.
+
+    A point surely is no float64 local maximum when some neighbor is surely
+    larger (its values - bound exceeds the point's values + bound), or when
+    its bound leaves it at 0; it surely is one when it is positive and
+    surely no smaller than each neighbor, whatever their values within their
+    bounds. Every point left open is rescored (`_rescore`) with its
+    neighborhood and then tested on float64 values; with ``ranked`` every
+    sure maximum is rescored too. A value kept is within its bound, so it
+    turns no sure answer of the test."""
+    lo = values - bound
+    hi = values + bound
+    maybe = np.flatnonzero((hi > 0) & (_window_max(lo.reshape(shape)).reshape(-1) <= hi))
+    near = _neighborhoods(maybe, shape)
+    others = np.where(near == maybe[:, None], -np.inf, hi[near]).max(axis=1, initial=-np.inf)
+    sure = (lo[maybe] > 0) & (lo[maybe] >= others)
+    picked = [near[~sure].reshape(-1)] + ([maybe[sure]] if ranked else [])
+    _rescore(values, bound, np.unique(np.concatenate(picked)), rescan)
+    # an open point and its neighbors now hold their float64 values
+    center, around = values[maybe[~sure]], values[near[~sure]]
+    sure[~sure] = (center > 0) & (center >= around.max(axis=1, initial=-np.inf))
+    return maybe[sure]
+
+
+def _rescan(residuals, grid, array, wavelengths, rows=None):
+    """``rescan(indices)`` for `_rescore`: the float64 beam power at the
+    grid points ``indices``, or at ``rows[indices]``."""
+    if rows is None:
+        return lambda idx: grid_beam_power(residuals, grid, array, wavelengths, rows=idx)
+    return lambda idx: grid_beam_power(residuals, grid, array, wavelengths, rows=rows[idx])
 
 
 def tl_cbf_spectrum(blocks, grid: ParamGrid, array: ArrayConfig) -> Spectrum:
     """Conventional-beamforming power spectrum over the trajectory grid.
 
     Single-frequency input gives the narrowband spectrum; wideband block sets
-    sum the spectrum across frequencies.
+    sum the spectrum across frequencies. The scan runs in complex64
+    (`_beam_power32`). The values are those of the float64 scan
+    (`grid_beam_power`) at every local maximum, and at every point whose
+    local-maximum test the scan's bound leaves open together with its
+    neighbors; elsewhere they are within that bound. So `find_peaks`
+    returns the float64 scan's peaks, values and order.
     """
     wavelengths = _check_blocks(blocks, array)
-    values = grid_beam_power([b.data for b in blocks], grid, array, wavelengths)
+    residuals = [b.data for b in blocks]
+    values, bound = _beam_power32(residuals, grid, array, wavelengths)
+    rescan = _rescan(residuals, grid, array, wavelengths)
+    _settle_local_maxima(values, bound, grid.shape, rescan, ranked=True)
     return Spectrum(grid, values)
+
+
+def _window_max(field: np.ndarray) -> np.ndarray:
+    """The largest value within Chebyshev distance 1 of each point of
+    ``field``, neighborhoods truncated at the boundary: one pass per axis,
+    each taking the larger of every point and its two neighbors on that
+    axis."""
+    out = field
+    for axis in range(field.ndim):
+        src, out = out, out.copy()
+        head = tuple(slice(None, -1) if a == axis else slice(None) for a in range(field.ndim))
+        tail = tuple(slice(1, None) if a == axis else slice(None) for a in range(field.ndim))
+        np.maximum(out[tail], src[head], out=out[tail])
+        np.maximum(out[head], src[tail], out=out[head])
+    return out
 
 
 def local_maxima(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -259,8 +439,7 @@ def local_maxima(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     row-major on a lattice of ``shape``: positive points >= every neighbor
     within Chebyshev distance 1 (neighborhoods truncated at the boundary)."""
     field = values.reshape(shape)
-    local_max = ndimage.maximum_filter(field, size=3, mode="constant", cval=-np.inf)
-    return np.flatnonzero(((field == local_max) & (field > 0)).reshape(-1))
+    return np.flatnonzero(((field == _window_max(field)) & (field > 0)).reshape(-1))
 
 
 def find_peaks(spectrum: Spectrum, count: int) -> PeakSet:
@@ -283,14 +462,27 @@ def find_peaks(spectrum: Spectrum, count: int) -> PeakSet:
     return PeakSet(entries, shortfall=len(idx) < count)
 
 
+def _beam_argmax(residuals, grid: ParamGrid, array: ArrayConfig, wavelengths, rows=None) -> int:
+    """The grid index of the largest float64 beam power (`grid_beam_power`)
+    over the grid, or over its points ``rows`` (valid for `grid_beam_power`),
+    lowest on a tie: a complex64 scan (`_beam_power32`), then a float64
+    rescore of every point whose bound reaches the largest lower bound."""
+    values, bound = _beam_power32(residuals, grid, array, wavelengths, rows=rows)
+    contenders = np.flatnonzero(values + bound >= np.max(values - bound))
+    _rescore(values, bound, contenders, _rescan(residuals, grid, array, wavelengths, rows))
+    best = int(contenders[np.argmax(values[contenders])])
+    return best if rows is None else int(rows[best])
+
+
 def tl_omp(blocks, grid: ParamGrid, array: ArrayConfig, K: int):
     """Greedy on-grid pursuit of K trajectories.
 
     Each iteration selects the grid point with maximum beam power against the
-    current residual, then re-projects every snapshot of the residual onto
-    the orthogonal complement of all selected steering vectors at that
-    snapshot. Reported amplitudes are the final least-squares fit of the
-    selected trajectories to the raw blocks.
+    current residual (`_beam_argmax`, the float64 scan's choice), then
+    re-projects every snapshot of the residual onto the orthogonal complement
+    of all selected steering vectors at that snapshot. Reported amplitudes
+    are the final least-squares fit of the selected trajectories to the raw
+    blocks.
 
     Returns (list of SourceEstimate, residual Frobenius norm after each
     iteration).
@@ -300,8 +492,7 @@ def tl_omp(blocks, grid: ParamGrid, array: ArrayConfig, K: int):
     selected: list[TrajectoryParams] = []
     norms: list[float] = []
     for _ in range(K):
-        values = grid_beam_power(residuals, grid, array, wavelengths)
-        selected.append(grid_point(grid, int(np.argmax(values))))
+        selected.append(grid_point(grid, _beam_argmax(residuals, grid, array, wavelengths)))
         stacks, _, residuals = project_all(selected, residuals, array, wavelengths)
         norms.append(float(np.sqrt(residual_energy(residuals))))
     amps = amplitudes_ls(selected, blocks, array, stacks)  # the last fit's stacks
@@ -362,9 +553,11 @@ def tl_sbl(
     for the M_A grid points A holds, instead of forming S_l and S_l^{-1} A_l
     in O(L N^2 M). A holds the physical points at first; whenever the points
     still active have halved since A was built, A is rebuilt over them alone,
-    from their phase-table rows, into the front of its own buffer. So a call
-    allocates one tensor, whose size the first build sets, and nothing per
-    compaction. Pruned points A still holds carry gamma = 0 until then.
+    from their rows of the complex128 phasors the call builds once for the
+    physical points (`phase_rows`), into the front of its own buffer. So a
+    call allocates one tensor, whose size the first build sets, and no
+    tensor per compaction. Pruned points A still holds carry gamma = 0 until
+    then.
     """
     if not 0 < noise_variance < np.inf:
         raise ValueError(
@@ -376,10 +569,10 @@ def tl_sbl(
     N, L = blocks[0].data.shape
     M = grid.size
 
-    E = phase_table(grid, L, _phase_scale(array, lam))  # (M, L)
     cols = np.flatnonzero(~nonphysical_mask(grid, L))  # grid points A holds
+    E = phase_rows(grid, L, _phase_scale(array, lam), cols)  # the rows A holds
     buf = np.empty(L * N * cols.size, dtype=complex)
-    A = _powers_tensor(E[cols], N, buf)
+    A = _powers_tensor(E, N, buf)
     A_flat = A.reshape(L * N, cols.size)
     lag = (N - 1) + np.subtract.outer(np.arange(N), np.arange(N))  # (N-1) + n - k
     Yl = blocks[0].data.T  # (L, N)
@@ -389,8 +582,8 @@ def tl_sbl(
     converged = False
     for _ in range(SBL_MAX_ITERS):
         if 2 * np.count_nonzero(active) <= active.size:
-            cols, gamma = cols[active], gamma[active]
-            A = _powers_tensor(E[cols], N, buf)
+            cols, E, gamma = cols[active], E[active], gamma[active]
+            A = _powers_tensor(E, N, buf)
             A_flat = A.reshape(L * N, cols.size)
             active = np.ones(cols.size, dtype=bool)
         r = (A_flat @ gamma).reshape(L, N)

@@ -30,7 +30,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridalgos import _check_blocks, grid_beam_power, local_maxima
+from .gridalgos import (
+    _beam_argmax,
+    _beam_power32,
+    _check_blocks,
+    _neighborhoods,
+    _rescan,
+    _settle_local_maxima,
+)
 from .grids import ParamGrid, coarse_lattice, coarse_shape, grid_point, nonphysical_mask
 from .model import (
     ArrayConfig,
@@ -80,24 +87,21 @@ def _coarse_start(residuals, grid, array, wavelengths, trace):
     on a tie). Every grid point lies within distance 1 of the lattice, so
     each basin of the coarse field is entered at full resolution; the ascent
     that follows needs a start in the right basin, not the exact argmax.
+    Both scans run in complex64 (`_beam_power32`); a float64 rescore of
+    what their bounds leave open makes the maxima and the best point those
+    of float64 scans (`_settle_local_maxima`, `_beam_argmax`).
     """
     L = residuals[0].shape[1]
     lattice = coarse_lattice(grid)
-    coarse = grid_beam_power(residuals, grid, array, wavelengths, rows=lattice)
-    maxima = lattice[local_maxima(coarse, coarse_shape(grid))]
+    coarse, bound = _beam_power32(residuals, grid, array, wavelengths, rows=lattice)
+    rescan = _rescan(residuals, grid, array, wavelengths, lattice)
+    maxima = lattice[_settle_local_maxima(coarse, bound, coarse_shape(grid), rescan, ranked=False)]
     if maxima.size == 0:
         # a zero residual has a zero field, which holds no peaks
         trace.flags.append("coarse-peak-shortfall")
         return grid_point(grid, int(np.argmin(nonphysical_mask(grid, L))))
-    # (maxima, 3^D) neighborhood indices; clipping moves an out-of-range
-    # coordinate back to the center's, inside the truncated neighborhood
-    D = len(grid.shape)
-    offsets = np.indices((3,) * D).reshape(D, -1) - 1  # (D, 3^D)
-    centers = np.unravel_index(maxima, grid.shape)
-    multi = tuple(c[:, None] + o[None, :] for c, o in zip(centers, offsets))
-    rows = np.unique(np.ravel_multi_index(multi, grid.shape, mode="clip"))
-    values = grid_beam_power(residuals, grid, array, wavelengths, rows=rows)
-    return grid_point(grid, int(rows[np.argmax(values)]))
+    rows = np.unique(_neighborhoods(maxima, grid.shape))
+    return grid_point(grid, _beam_argmax(residuals, grid, array, wavelengths, rows))
 
 
 def tl_sfw(

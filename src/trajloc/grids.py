@@ -3,7 +3,9 @@
 A grid is the Cartesian product of per-parameter axes (phi first, then the
 model coefficients), linearized row-major with phi as the slowest axis. Grids
 and the tables derived from them are immutable; derived tables are memoized
-in small bounded caches so repeated scans do not recompute trigonometry.
+in small bounded caches so repeated scans do not recompute trigonometry. The
+phasor table is cached in complex64, half the size of complex128; the
+complex128 phasors of a few rows are rebuilt on demand (`phase_rows`).
 """
 
 from __future__ import annotations
@@ -134,12 +136,21 @@ def coarse_shape(grid: ParamGrid) -> tuple[int, ...]:
     return tuple((n + 1) // 2 for n in grid.shape)
 
 
+def phase_rows(grid: ParamGrid, L: int, phase_scale: float, rows) -> np.ndarray:
+    """Per-snapshot sensor-1 phasors ``exp(j*phase_scale*sin(theta))`` in
+    complex128 at the grid points ``rows`` (any index or slice of the grid),
+    shape (len(rows), L), built on demand. Each element depends on its own
+    theta only, so a row is the same to the bit whichever rows are built
+    with it. Sensor n uses the n-th power of these entries."""
+    theta = doa_table(grid, L)[rows]
+    return np.exp(1j * phase_scale * np.sin(theta * DEG))
+
+
 @lru_cache(maxsize=8)
 def phase_table(grid: ParamGrid, L: int, phase_scale: float) -> np.ndarray:
-    """Per-snapshot sensor-1 phasors ``exp(j*phase_scale*sin(theta))`` for the
-    whole grid, shape (M, L). Sensor n uses the n-th power of these entries."""
-    theta = doa_table(grid, L)
-    table = np.exp(1j * phase_scale * np.sin(theta * DEG))
+    """`phase_rows` of the whole grid rounded to complex64, shape (M, L):
+    the table the grid scans run on. Rescans that need complex128 phasors
+    build their rows with `phase_rows`; no complex128 table is cached."""
+    table = phase_rows(grid, L, phase_scale, slice(None)).astype(np.complex64)
     table.setflags(write=False)
     return table
-

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from trajloc import (
     ArrayConfig,
@@ -30,8 +31,10 @@ from trajloc import (
     trajectory_rmse,
 )
 from trajloc import gridalgos
-from trajloc.gridalgos import _scan_rows, _tile_rows, grid_beam_power
-from trajloc.grids import coarse_lattice, nonphysical_mask, phase_table
+from trajloc.gridalgos import _beam_argmax, _beam_power32, _scan_rows, _tile_rows, grid_beam_power, local_maxima
+from trajloc.gridless import RunTrace, _coarse_start
+from trajloc.harness import WIDEBAND_SETS
+from trajloc.grids import coarse_lattice, coarse_shape, nonphysical_mask, phase_rows, phase_table
 from trajloc.model import (
     block_wavelengths,
     trajectory_in_bounds,
@@ -53,12 +56,13 @@ def grid_index_of(grid, phi, alpha):
 
 
 def reference_beam_power(residuals, grid, array, wavelengths):
-    """The whole-table Horner scan that grid_beam_power runs by row blocks."""
+    """The whole-table Horner scan that grid_beam_power runs by row blocks,
+    on the complex128 phasors of the whole grid."""
     L = residuals[0].shape[1]
     M = grid.size
     values = np.zeros(M)
     for R, lam in zip(residuals, wavelengths):
-        E = np.conj(phase_table(grid, L, _phase_scale(array, lam)))
+        E = np.conj(phase_rows(grid, L, _phase_scale(array, lam), slice(None)))
         N = R.shape[0]
         acc = np.broadcast_to(R[N - 1], (M, L)).copy()
         for n in range(N - 2, -1, -1):
@@ -78,7 +82,7 @@ def reference_sbl(blocks, grid, array, noise_variance, tol=1e-3, max_iters=500):
     N, L = blocks[0].data.shape
     lam = block_wavelengths(array, blocks)[0]
     M = grid.size
-    E = phase_table(grid, L, _phase_scale(array, lam))
+    E = phase_rows(grid, L, _phase_scale(array, lam), slice(None))
     A = np.empty((L, N, M), dtype=complex)
     A[:, 0, :] = 1.0
     for n in range(1, N):
@@ -116,6 +120,16 @@ def quiet_sbl(*args, max_iters=gridalgos.SBL_MAX_ITERS):
     return spec, peaks, any(issubclass(w.category, NumericsWarning) for w in caught)
 
 
+def assert_settled(values, exact, shape):
+    """`tl_cbf_spectrum`'s contract against the float64 scan's ``exact``
+    values: the same local maxima, holding the exact values, and every value
+    within 1e-5 of the largest."""
+    maxima = local_maxima(exact, shape)
+    assert np.array_equal(local_maxima(values, shape), maxima)
+    assert np.array_equal(values[maxima], exact[maxima])
+    assert np.max(np.abs(values - exact)) <= 1e-5 * np.max(exact)
+
+
 def grid_of_size(M):
     """Grid of exactly M linear trajectories: M phi values, one slope."""
     grid = build_grid([("phi", -80.0, 160.0 / (M - 1), 80.0), ("alpha1", 2.0, 1.0, 2.0)], LINEAR)
@@ -124,6 +138,7 @@ def grid_of_size(M):
 
 
 ROWS = _scan_rows(30)
+ROWS32 = _scan_rows(30, np.complex64)
 TILE = _tile_rows(30)
 WIDEBAND = (1400.0, 1600.0, 1800.0)
 
@@ -188,20 +203,22 @@ class TestGridBeamPower:
         assert np.array_equal(values, reference_beam_power(residuals, grid, array, wavelengths)[rows])
 
     def test_full_scan_copies_no_table(self, monkeypatch):
-        """One share's scratch is an accumulator block and an N-row tile of
-        conj(R), 0.86 MB at N = 3; a copy of the 4.2 MB table of these 8
-        blocks of rows is four times the bound. One CPU: one share."""
+        """The complex64 scan: one share's scratch is an accumulator block
+        and an N-row tile of conj(R), 0.61 MB at N = 3, beside the 0.28 MB
+        of values (the bound's vectors come after the scratch is freed); a
+        copy of the 8.4 MB complex64 table of these 16 blocks of rows is
+        four times the bound. One CPU: one share."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        M = 8 * ROWS
+        M = 16 * ROWS32
         grid, array, wavelengths, residuals = scan_inputs(M, 3, None)
-        grid_beam_power(residuals, grid, array, wavelengths)  # the phase table and mask are cached, not counted
+        _beam_power32(residuals, grid, array, wavelengths)  # the phase table and mask are cached, not counted
         tracemalloc.start()
         try:
-            grid_beam_power(residuals, grid, array, wavelengths)
+            _beam_power32(residuals, grid, array, wavelengths)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < M * 30 * 16 / 4
+        assert peak < M * 30 * 8 / 4
 
     @pytest.mark.parametrize(
         "M, pick",
@@ -250,7 +267,8 @@ class TestGridBeamPower:
         assert int(np.argmax(unmasked)) == corner
         mask = nonphysical_mask(linear_grid, 30)
         spec = tl_cbf_spectrum(blocks, linear_grid, array)
-        assert np.array_equal(spec.values, np.where(mask, 0.0, unmasked))
+        assert_settled(spec.values, np.where(mask, 0.0, unmasked), linear_grid.shape)
+        assert np.all(spec.values[mask] == 0.0)
         physical = lambda p: trajectory_in_bounds(p, 30)
         peaks = find_peaks(spec, 3)
         assert peaks.entries and all(physical(p) for p in peaks.params)
@@ -343,6 +361,204 @@ class TestParallelScan:
         assert threading.active_count() == before
 
 
+# the `linear_grid` fixture's grid, masked corners included; hypothesis tests
+# take no function-scoped fixtures
+SYMMETRIC_GRID = build_grid([("phi", -85, 2, 85), ("alpha1", -5, 0.5, 5)], LINEAR)
+
+
+def exact_scans(monkeypatch):
+    """Make every complex64 scan return the float64 values with a zero
+    bound, so the estimators decide as from float64 scans alone."""
+
+    def exact(residuals, grid, array, wavelengths, rows=None):
+        values = grid_beam_power(residuals, grid, array, wavelengths, rows=rows)
+        return values, np.zeros_like(values)
+
+    monkeypatch.setattr(gridalgos, "_beam_power32", exact)
+
+
+def ends_or_inside(rng, n):
+    """n factors in [-1, 1]: half of them -1 or 1, the rest uniform."""
+    return np.where(rng.random(n) < 0.5, rng.choice([-1.0, 1.0], n), rng.uniform(-1.0, 1.0, n))
+
+
+def adversarial_scans(monkeypatch):
+    """Move every complex64 value to the end of its bound that hurts: the
+    float64 winners (the local maxima, or the argmax of a set of rows that
+    is no lattice) down, every other row up."""
+    real = gridalgos._beam_power32
+
+    def adversarial(residuals, grid, array, wavelengths, rows=None):
+        _, bound = real(residuals, grid, array, wavelengths, rows=rows)
+        exact = grid_beam_power(residuals, grid, array, wavelengths, rows=rows)
+        if rows is None:
+            down = local_maxima(exact, grid.shape)
+        elif np.array_equal(rows, coarse_lattice(grid)):
+            down = local_maxima(exact, coarse_shape(grid))
+        else:
+            down = [np.argmax(exact)]
+        pushed = exact + bound
+        pushed[down] = exact[down] - bound[down]
+        return np.maximum(pushed, 0.0), bound
+
+    monkeypatch.setattr(gridalgos, "_beam_power32", adversarial)
+
+
+def decisions(blocks, grid, array, K):
+    """What the complex64 scans decide: tl-omp's estimates, tl-cbf's K + 2
+    peaks with their values, and the first coarse start."""
+    lams = block_wavelengths(array, blocks)
+    omp = [e.params for e in tl_omp(blocks, grid, array, K)[0]]
+    peaks = find_peaks(tl_cbf_spectrum(blocks, grid, array), K + 2).entries
+    start = _coarse_start([b.data for b in blocks], grid, array, lams, RunTrace())
+    return omp, peaks, start
+
+
+def cert_inputs(N, F, seed, noise, power):
+    """(array, wavelengths, residuals) of a scan on `SYMMETRIC_GRID`: a random
+    source plus complex Gaussian noise of std ``noise`` per sensor row and
+    frequency, scaled by 2^power."""
+    freqs = None if F == 1 else WIDEBAND_SETS[F]
+    array = ArrayConfig(N) if freqs is None else ArrayConfig.for_frequencies(N, freqs)
+    lams = tuple(wavelength_for(array, f) for f in freqs or (None,))
+    rng = np.random.default_rng(seed)
+    src = TrajectoryParams(LINEAR, rng.uniform(-80, 80), (rng.uniform(-4, 4),))
+    residuals = []
+    for lam in lams:
+        R = trajectory_steering_matrix(src, array, 30, lam) * np.exp(2j * np.pi * rng.random(30))
+        R = R + noise * (rng.standard_normal((N, 30)) + 1j * rng.standard_normal((N, 30)))
+        residuals.append(np.ldexp(R.real, power) + 1j * np.ldexp(R.imag, power))
+    return array, lams, residuals
+
+
+class TestCertifiedScan:
+    """`_beam_power32`'s bound, and the decisions made from it."""
+
+    @given(
+        N=st.sampled_from([2, 3, 10]),
+        F=st.sampled_from([1, 7]),
+        seed=st.integers(0, 2**16),
+        noise=st.sampled_from([0.0, 0.01, 1.0, 100.0]),
+        power=st.integers(-130, 130),
+        span=st.one_of(st.none(), st.tuples(st.integers(0, SYMMETRIC_GRID.size - 1), st.integers(1, SYMMETRIC_GRID.size))),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_bound_holds_on_every_row(self, N, F, seed, noise, power, span):
+        # span: a sub-scan from one row to another, mostly inside tiles
+        array, lams, residuals = cert_inputs(N, F, seed, noise, power)
+        rows = None if span is None else np.arange(min(span), max(max(span), min(span) + 1))
+        values, bound = _beam_power32(residuals, SYMMETRIC_GRID, array, lams, rows=rows)
+        field = grid_beam_power(residuals, SYMMETRIC_GRID, array, lams)
+        exact = field if rows is None else field[rows]
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(bound))
+        assert np.all(np.abs(values - exact) <= bound)
+        # not vacuous: far below the field's peak, which the decisions turn on
+        assert np.max(bound) <= 1e-5 * np.max(field)
+        mask = nonphysical_mask(SYMMETRIC_GRID, 30)
+        masked = mask if rows is None else mask[rows]
+        assert np.all(values[masked] == 0.0) and np.all(bound[masked] == 0.0)
+
+    def test_zero_residual_is_exact(self, array):
+        values, bound = _beam_power32([np.zeros((10, 30), complex)], SYMMETRIC_GRID, array, (wavelength_for(array, None),))
+        assert np.all(values == 0.0) and np.all(bound == 0.0)
+
+    @pytest.mark.parametrize("freqs", [None, WIDEBAND])
+    def test_adversarial_values_keep_decisions(self, monkeypatch, four_sources, freqs):
+        array = ArrayConfig(10) if freqs is None else ArrayConfig.for_frequencies(10, freqs)
+        blocks, _ = synthesize_block(four_sources, array, 30, 5.0, freqs, seed=601)
+        adversarial_scans(monkeypatch)
+        got = decisions(blocks, SYMMETRIC_GRID, array, 4)
+        exact_scans(monkeypatch)
+        assert got == decisions(blocks, SYMMETRIC_GRID, array, 4)
+
+    @pytest.mark.parametrize("excess", [0.0, 2e-7, -2e-7])
+    def test_near_tie_of_equal_power_sources(self, monkeypatch, array, excess):
+        """Two sources at mirror points, the second of amplitude 1 + excess.
+        At excess 0 the data are real, so the beam powers of mirror points
+        tie exactly; otherwise they differ by less than the complex64 scan
+        can resolve. The rescore keeps the float64 choice and order."""
+        pair = [TrajectoryParams(LINEAR, -41.0, (1.5,)), TrajectoryParams(LINEAR, 41.0, (-1.5,))]
+        lam = wavelength_for(array, None)
+        a, b = (trajectory_steering_matrix(p, array, 30, lam) for p in pair)
+        Y = a + (1.0 + excess) * b
+        exact = grid_beam_power([Y], SYMMETRIC_GRID, array, (lam,))
+        i = int(np.argmax(exact))
+        j = SYMMETRIC_GRID.size - 1 - i  # the mirror point (-phi, -alpha)
+        assert (exact[i] == exact[j]) == (excess == 0.0)
+        assert exact[j] == pytest.approx(exact[i], rel=1e-6)
+        values, bound = _beam_power32([Y], SYMMETRIC_GRID, array, (lam,))
+        assert abs(values[i] - values[j]) <= bound[i] + bound[j]
+        assert _beam_argmax([Y], SYMMETRIC_GRID, array, (lam,)) == i
+        blocks = [ObservationBlock(Y, None)]
+        got = decisions(blocks, SYMMETRIC_GRID, array, 2)
+        assert [p for p, _ in got[1][:2]] == [grid_point(SYMMETRIC_GRID, i), grid_point(SYMMETRIC_GRID, j)]
+        assert [v for _, v in got[1][:2]] == [exact[i], exact[j]]
+        adversarial_scans(monkeypatch)
+        assert decisions(blocks, SYMMETRIC_GRID, array, 2) == got
+        exact_scans(monkeypatch)
+        assert decisions(blocks, SYMMETRIC_GRID, array, 2) == got
+
+    @given(
+        seed=st.integers(0, 2**16),
+        shape=st.sampled_from([(9, 7), (5, 4, 3), (12,)]),
+        ranked=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_settled_maxima_are_the_exact_fields(self, seed, shape, ranked):
+        """A small-integer field full of ties and zero plateaus, seen within
+        bounds of 0, 1/2, 1 or 2, at the ends of the bounds or inside."""
+        rng = np.random.default_rng(seed)
+        exact = rng.integers(0, 4, shape).astype(float).reshape(-1)
+        bound = rng.choice([0.0, 0.5, 1.0, 2.0], exact.size)
+        values = exact + bound * ends_or_inside(rng, exact.size)
+        rescanned = []
+
+        def rescan(idx):
+            rescanned.append(idx)
+            return exact[idx]
+
+        maxima = gridalgos._settle_local_maxima(values, bound, shape, rescan, ranked)
+        assert np.array_equal(maxima, local_maxima(exact, shape))
+        assert np.array_equal(local_maxima(values, shape), maxima)
+        if ranked:
+            assert np.array_equal(values[maxima], exact[maxima])
+        assert all(np.all(bound[idx] > 0) for idx in rescanned)
+        assert np.all(np.abs(values - exact) <= bound)
+
+    @given(seed=st.integers(0, 2**16), sub=st.booleans())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_argmax_is_the_exact_fields(self, seed, sub):
+        """The same kind of field on `SYMMETRIC_GRID`, many of its points in
+        contention: the choice, lowest index on a tie, is the exact field's."""
+        rng = np.random.default_rng(seed)
+        exact = rng.integers(0, 4, SYMMETRIC_GRID.size).astype(float)
+        bound = rng.choice([0.0, 0.5, 1.0, 2.0], exact.size)
+        values = exact + bound * ends_or_inside(rng, exact.size)
+        rows = np.flatnonzero(rng.random(exact.size) < 0.1) if sub else None
+        picked = slice(None) if rows is None else rows
+        with mock.patch.object(gridalgos, "_beam_power32", lambda *a, rows: (values[picked].copy(), bound[picked])):
+            with mock.patch.object(gridalgos, "grid_beam_power", lambda *a, rows: exact[rows]):
+                got = _beam_argmax(None, SYMMETRIC_GRID, None, None, rows)
+        assert got == (int(np.argmax(exact)) if rows is None else int(rows[np.argmax(exact[rows])]))
+
+    @pytest.mark.parametrize("power", [120, -120])
+    def test_extreme_scales_decide_as_float64(self, monkeypatch, four_sources, power):
+        """Data scaled by 2^+-120, beyond the range of float32 squares: the
+        decisions are those of the float64 scans, and of the unscaled data."""
+        freqs = WIDEBAND
+        array = ArrayConfig.for_frequencies(10, freqs)
+        blocks, _ = synthesize_block(four_sources, array, 30, 5.0, freqs, seed=602)
+        scaled = [ObservationBlock(np.ldexp(b.data.real, power) + 1j * np.ldexp(b.data.imag, power), b.frequency) for b in blocks]
+        lams = block_wavelengths(array, scaled)
+        values, bound = _beam_power32([b.data for b in scaled], SYMMETRIC_GRID, array, lams)
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(bound)) and np.max(values) > 0
+        omp, peaks, start = decisions(scaled, SYMMETRIC_GRID, array, 4)
+        plain = decisions(blocks, SYMMETRIC_GRID, array, 4)
+        assert (omp, [p for p, _ in peaks], start) == (plain[0], [p for p, _ in plain[1]], plain[2])
+        exact_scans(monkeypatch)
+        assert (omp, peaks, start) == decisions(scaled, SYMMETRIC_GRID, array, 4)
+
+
 class TestCbfSpectrum:
     def test_zero_data_gives_zero_spectrum(self, array, linear_grid):
         block = ObservationBlock(np.zeros((10, 30), complex), None)
@@ -371,11 +587,14 @@ class TestCbfSpectrum:
         freqs = [1400.0, 1600.0]
         arr = ArrayConfig.for_frequencies(10, freqs)
         blocks, _ = synthesize_block([src], arr, 30, 5.0, freqs, seed=3)
-        both = tl_cbf_spectrum(blocks, linear_grid, arr)
-        single = [tl_cbf_spectrum([b], linear_grid, arr) for b in blocks]
-        np.testing.assert_allclose(
-            both.values, single[0].values + single[1].values, rtol=1e-12
-        )
+        lams = block_wavelengths(arr, blocks)
+        both = grid_beam_power([b.data for b in blocks], linear_grid, arr, lams)
+        single = [grid_beam_power([b.data], linear_grid, arr, (lam,)) for b, lam in zip(blocks, lams)]
+        np.testing.assert_allclose(both, single[0] + single[1], rtol=1e-12)
+        # the complex64 spectra hold these float64 values as their contract says
+        assert_settled(tl_cbf_spectrum(blocks, linear_grid, arr).values, both, linear_grid.shape)
+        for b, values in zip(blocks, single):
+            assert_settled(tl_cbf_spectrum([b], linear_grid, arr).values, values, linear_grid.shape)
 
     def test_rejects_mismatched_blocks(self, array, linear_grid):
         b1 = ObservationBlock(np.zeros((10, 30), complex), None)
@@ -414,6 +633,20 @@ class TestFindPeaks:
         assert len(peaks.entries) == 1
         assert peaks.shortfall
         assert peaks.entries[0][0].vector().tolist() == [85.0, 5.0]
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (12,), (1, 5), (9, 7), (86, 21), (5, 4, 3), (1, 3, 1), (43, 11, 11)])
+    def test_window_max_matches_maximum_filter(self, shape):
+        rng = np.random.default_rng(len(shape))
+        field = rng.integers(0, 4, shape).astype(float)  # ties throughout
+        expected = ndimage.maximum_filter(field, size=3, mode="constant", cval=-np.inf)
+        assert np.array_equal(gridalgos._window_max(field), expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_spectrum_refuses_non_finite_values(self, linear_grid, bad):
+        values = np.ones(linear_grid.size)
+        values[[3, 7]] = bad
+        with pytest.raises(ValueError, match="index 3 "):
+            Spectrum(linear_grid, values)
 
     def test_count_validation(self, linear_grid):
         with pytest.raises(ValueError):
@@ -595,7 +828,7 @@ class TestTlSbl:
     def test_memory_stays_near_one_powers_tensor(self, array, linear_grid, four_sources):
         blocks, truth = synthesize_block(four_sources, array, 30, 5.0, seed=10)
         args = (blocks, linear_grid, array, 4, truth.noise_variance)
-        quiet_sbl(*args, max_iters=1)  # the phase table is cached, not counted
+        quiet_sbl(*args, max_iters=1)  # the DOA table and mask are cached, not counted
         tracemalloc.start()
         try:
             quiet_sbl(*args, max_iters=3)
@@ -608,7 +841,7 @@ class TestTlSbl:
     def test_memory_stays_near_one_powers_tensor_through_compaction(self, array, linear_grid, four_sources):
         blocks, truth = synthesize_block(four_sources, array, 30, 30.0, seed=10)
         args = (blocks, linear_grid, array, 4, truth.noise_variance)
-        quiet_sbl(*args, max_iters=1)  # the phase table and mask are cached, not counted
+        quiet_sbl(*args, max_iters=1)  # the DOA table and mask are cached, not counted
         built = []
         real = gridalgos._powers_tensor
 
@@ -630,10 +863,6 @@ class TestTlSbl:
         assert all(2 * b <= a for a, b in zip(built, built[1:]))
         powers_bytes = 30 * 10 * linear_grid.size * 16  # the (L, N, M) complex tensor
         assert peak < 2 * powers_bytes
-
-
-# the `linear_grid` fixture's grid; hypothesis tests take no function-scoped fixtures
-SYMMETRIC_GRID = build_grid([("phi", -85, 2, 85), ("alpha1", -5, 0.5, 5)], LINEAR)
 
 
 def _sbl_gammas(seed, transform):

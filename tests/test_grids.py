@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
-from trajloc import TrajectoryModel, build_grid, grid_point
-from trajloc.grids import coarse_lattice, coarse_shape, doa_table, nonphysical_mask, param_matrix
+from trajloc import ArrayConfig, TrajectoryModel, build_grid, grid_point
+from trajloc.grids import (
+    coarse_lattice,
+    coarse_shape,
+    doa_table,
+    nonphysical_mask,
+    param_matrix,
+    phase_rows,
+    phase_table,
+)
+from trajloc.harness import WIDEBAND_SETS
+from trajloc.model import DEG, _phase_scale, wavelength_for
 
 QUADRATIC_GRID = build_grid(
     [("phi", -85, 2, 85), ("alpha1", -5, 0.5, 5), ("alpha2", -5, 0.5, 5)],
@@ -118,3 +128,53 @@ def test_coarse_lattice_covers_grid(grid, linear_grid):
         every = np.stack(np.unravel_index(np.arange(grid.size), grid.shape), axis=1)
         dist = np.max(np.abs(every[:, None, :] - multi[None, :, :]), axis=2).min(axis=1)
         assert dist.max() == 1
+
+
+def whole_table(grid, L, scale):
+    """The complex128 phasors of every grid point, built in one pass."""
+    return np.exp(1j * scale * np.sin(doa_table(grid, L) * DEG))
+
+
+WIDEBAND_ARRAY = ArrayConfig.for_frequencies(10, WIDEBAND_SETS[7])
+SCALES = tuple(_phase_scale(WIDEBAND_ARRAY, wavelength_for(WIDEBAND_ARRAY, f)) for f in WIDEBAND_SETS[7])
+
+
+class TestPhaseRows:
+    """Rows built on demand are the same to the bit as the rows of a whole
+    table, whichever rows are built together; the scans' float64 rescans
+    rest on this."""
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_subsets_match_whole_table(self, linear_grid, scale):
+        M = linear_grid.size
+        whole = whole_table(linear_grid, 30, scale)
+        assert np.array_equal(phase_rows(linear_grid, 30, scale, slice(None)), whole)
+        rng = np.random.default_rng(int(scale))
+        for size in (1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 100, 1000, M - 1, M):
+            rows = np.sort(rng.choice(M, size, replace=False))
+            assert np.array_equal(phase_rows(linear_grid, 30, scale, rows), whole[rows])
+            assert np.array_equal(phase_rows(linear_grid, 30, scale, rows[::-1]), whole[rows[::-1]])
+
+    @pytest.mark.parametrize(
+        "rows", [slice(1, None, 3), slice(5, -7), slice(None, None, -1), slice(900, 901), slice(17, 1000, 7)]
+    )
+    def test_odd_slices_match_whole_table(self, linear_grid, rows):
+        for scale in SCALES:
+            assert np.array_equal(phase_rows(linear_grid, 30, scale, rows), whole_table(linear_grid, 30, scale)[rows])
+
+    def test_quadratic_grid_rows_match_whole_table(self):
+        scale = SCALES[-1]
+        whole = whole_table(QUADRATIC_GRID, 30, scale)
+        rng = np.random.default_rng(7)
+        for size in (1, 5, 27, 270, 5203):
+            rows = np.sort(rng.choice(QUADRATIC_GRID.size, size, replace=False))
+            assert np.array_equal(phase_rows(QUADRATIC_GRID, 30, scale, rows), whole[rows])
+        lattice = coarse_lattice(QUADRATIC_GRID)
+        assert np.array_equal(phase_rows(QUADRATIC_GRID, 30, scale, lattice), whole[lattice])
+
+    def test_cached_table_is_the_rounded_whole_table(self, linear_grid):
+        for scale in SCALES:
+            table = phase_table(linear_grid, 30, scale)
+            assert table.dtype == np.complex64 and not table.flags.writeable
+            assert np.array_equal(table, whole_table(linear_grid, 30, scale).astype(np.complex64))
+            assert phase_table(linear_grid, 30, scale) is table

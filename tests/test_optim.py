@@ -19,6 +19,7 @@ from trajloc import (
     tl_cbf_spectrum,
     tl_sfw,
 )
+from trajloc.gridalgos import grid_beam_power
 from trajloc.harness import builtin_experiment, materialize
 from trajloc.model import block_wavelengths, trajectory_steering_matrix, wavelength_for
 from trajloc.optim import (
@@ -88,10 +89,14 @@ class TestObjective:
         blocks, _ = synthesize_block(four_sources, array, 30, 5.0, seed=21)
         spec = tl_cbf_spectrum(blocks, linear_grid, array)
         lams = block_wavelengths(array, blocks)
+        # the float64 scan agrees to rounding; the complex64 spectrum is
+        # within 1e-5 of its largest value (`Spectrum`)
+        scan = grid_beam_power([blocks[0].data], linear_grid, array, lams)
         rng = np.random.default_rng(0)
         for idx in rng.integers(0, linear_grid.size, size=5):
             val = objective(grid_point(linear_grid, int(idx)), [blocks[0].data], array, lams)
-            assert val == pytest.approx(spec.values[idx], rel=1e-9)
+            assert val == pytest.approx(scan[idx], rel=1e-9)
+            assert abs(val - spec.values[idx]) <= 1e-5 * np.max(scan)
 
     def test_degrees_at_interface(self, array):
         lam = wavelength_for(array, None)
