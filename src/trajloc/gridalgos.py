@@ -1,5 +1,6 @@
 """Grid-based trajectory localization: TL-CBF spectra, peak extraction,
-TL-OMP greedy pursuit, and the TL-SBL hyperparameter iteration.
+TL-OMP greedy pursuit, the TL-SBL hyperparameter iteration, and the
+coarse-to-fine grid start of the gridless estimators (`_coarse_start`).
 
 All scans share one vectorized kernel that evaluates the beam power of every
 grid trajectory against a set of residual matrices; wideband inputs are
@@ -10,9 +11,11 @@ The kernel is generic in the phasors' dtype. Every scan whose caller uses
 only a decision runs it in complex64 on the cached complex64 phasor table
 (`_beam_power32`), which also returns a certified bound on each row's
 distance from the float64 scan: TL-OMP's argmax, TL-CBF's local maxima and
-their ranking, and the gridless coarse start. The rows whose decision the
-bound leaves open are rescanned in float64 (`grid_beam_power`, from phasor
-rows built on demand), so every decision is exactly the float64 scan's.
+their ranking, and the coarse start's lattice maxima and best neighbor. All
+of them are made here, by `_beam_argmax` and `_scan_maxima`: the rows whose
+decision the bound leaves open are rescanned in float64 (`grid_beam_power`,
+from phasor rows built on demand), so every decision is exactly the float64
+scan's.
 
 The kernel walks the grid in blocks of 512 KB of accumulator. What its
 sensor recursion touches stays in a core's L2 cache: the block's accumulator,
@@ -45,10 +48,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ParamGrid, grid_point, nonphysical_mask, phase_rows, phase_table
+from .grids import (
+    ParamGrid,
+    coarse_lattice,
+    coarse_shape,
+    grid_point,
+    nonphysical_mask,
+    phase_rows,
+    phase_table,
+)
 from .model import (
     ArrayConfig,
-    SourceEstimate,
     TrajectoryParams,
     _phase_scale,
     block_wavelengths,
@@ -59,6 +69,7 @@ from .optim import (
     amplitudes_ls,
     project_all,
     residual_energy,
+    source_estimates,
 )
 
 
@@ -392,12 +403,16 @@ def _settle_local_maxima(values, bound, shape, rescan, ranked: bool) -> np.ndarr
     return maybe[sure]
 
 
-def _rescan(residuals, grid, array, wavelengths, rows=None):
-    """``rescan(indices)`` for `_rescore`: the float64 beam power at the
-    grid points ``indices``, or at ``rows[indices]``."""
-    if rows is None:
-        return lambda idx: grid_beam_power(residuals, grid, array, wavelengths, rows=idx)
-    return lambda idx: grid_beam_power(residuals, grid, array, wavelengths, rows=rows[idx])
+def _scan_maxima(residuals, grid, array, wavelengths, rows, shape, ranked: bool):
+    """A complex64 scan (`_beam_power32`) of the grid points ``rows`` (all
+    when None), laid out on a lattice of ``shape``, with its local maxima
+    settled as the float64 scan's (`_settle_local_maxima`): (values, the
+    maxima's positions in the scan)."""
+    values, bound = _beam_power32(residuals, grid, array, wavelengths, rows=rows)
+    rescan = lambda idx: grid_beam_power(
+        residuals, grid, array, wavelengths, rows=idx if rows is None else rows[idx]
+    )
+    return values, _settle_local_maxima(values, bound, shape, rescan, ranked)
 
 
 def tl_cbf_spectrum(blocks, grid: ParamGrid, array: ArrayConfig) -> Spectrum:
@@ -413,9 +428,7 @@ def tl_cbf_spectrum(blocks, grid: ParamGrid, array: ArrayConfig) -> Spectrum:
     """
     wavelengths = _check_blocks(blocks, array)
     residuals = [b.data for b in blocks]
-    values, bound = _beam_power32(residuals, grid, array, wavelengths)
-    rescan = _rescan(residuals, grid, array, wavelengths)
-    _settle_local_maxima(values, bound, grid.shape, rescan, ranked=True)
+    values, _ = _scan_maxima(residuals, grid, array, wavelengths, None, grid.shape, ranked=True)
     return Spectrum(grid, values)
 
 
@@ -469,9 +482,31 @@ def _beam_argmax(residuals, grid: ParamGrid, array: ArrayConfig, wavelengths, ro
     rescore of every point whose bound reaches the largest lower bound."""
     values, bound = _beam_power32(residuals, grid, array, wavelengths, rows=rows)
     contenders = np.flatnonzero(values + bound >= np.max(values - bound))
-    _rescore(values, bound, contenders, _rescan(residuals, grid, array, wavelengths, rows))
+    rescan = lambda idx: grid_beam_power(
+        residuals, grid, array, wavelengths, rows=idx if rows is None else rows[idx]
+    )
+    _rescore(values, bound, contenders, rescan)
     best = int(contenders[np.argmax(values[contenders])])
     return best if rows is None else int(rows[best])
+
+
+def _coarse_start(residuals, grid: ParamGrid, array: ArrayConfig, wavelengths, flags: list) -> TrajectoryParams:
+    """The grid start of the next gridless source, without a full scan: the
+    local maxima of the coarse lattice's field (`coarse_lattice`), then the
+    best point of their full-resolution Chebyshev-1 neighborhoods, lowest
+    index on a tie, each decided as by a float64 scan. Every grid point lies
+    within distance 1 of the lattice, so each basin of the coarse field is
+    entered at full resolution, and the ascent that follows needs no more.
+    A field without maxima appends "coarse-peak-shortfall" to ``flags``."""
+    L = residuals[0].shape[1]
+    lattice = coarse_lattice(grid)
+    _, maxima = _scan_maxima(residuals, grid, array, wavelengths, lattice, coarse_shape(grid), ranked=False)
+    if maxima.size == 0:
+        # a zero residual has a zero field, which holds no peaks
+        flags.append("coarse-peak-shortfall")
+        return grid_point(grid, int(np.argmin(nonphysical_mask(grid, L))))
+    rows = np.unique(_neighborhoods(lattice[maxima], grid.shape))
+    return grid_point(grid, _beam_argmax(residuals, grid, array, wavelengths, rows))
 
 
 def tl_omp(blocks, grid: ParamGrid, array: ArrayConfig, K: int):
@@ -493,13 +528,9 @@ def tl_omp(blocks, grid: ParamGrid, array: ArrayConfig, K: int):
     norms: list[float] = []
     for _ in range(K):
         selected.append(grid_point(grid, _beam_argmax(residuals, grid, array, wavelengths)))
-        stacks, _, residuals = project_all(selected, residuals, array, wavelengths)
+        _, _, residuals = project_all(selected, residuals, array, wavelengths)
         norms.append(float(np.sqrt(residual_energy(residuals))))
-    amps = amplitudes_ls(selected, blocks, array, stacks)  # the last fit's stacks
-    estimates = [
-        SourceEstimate(t, tuple(X[i] for X in amps)) for i, t in enumerate(selected)
-    ]
-    return estimates, norms
+    return source_estimates(selected, amplitudes_ls(selected, blocks, array)), norms
 
 
 def _powers_tensor(E: np.ndarray, N: int, buf: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ complex128 phasors of a few rows are rebuilt on demand (`phase_rows`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,11 +58,13 @@ class ParamGrid:
                 f"grid needs {self.model.n_params} axes for this model, got {len(self.axes)}"
             )
 
-    @property
+    # cached in the instance dict, which hashing and equality ignore, so
+    # equal grids still share every lru_cache entry
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(ax.size for ax in self.axes)
 
-    @property
+    @cached_property
     def size(self) -> int:
         return int(np.prod(self.shape))
 

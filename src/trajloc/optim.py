@@ -45,6 +45,7 @@ from .grids import ParamGrid
 from .model import (
     DEG,
     ArrayConfig,
+    SourceEstimate,
     TrajectoryParams,
     _phase_scale,
     block_wavelengths,
@@ -238,16 +239,14 @@ def project_out(A: np.ndarray, Y: np.ndarray):
     return X, model_residuals(A, X, Y), bad
 
 
-def project_all(trajectories, data, array: ArrayConfig, wavelengths, stacks=None):
+def project_all(trajectories, data, array: ArrayConfig, wavelengths):
     """The one per-frequency least-squares fit: `project_out` of each
     frequency's data matrix against the trajectories' (k, N, L) steering
-    stack, built here unless ``stacks`` holds them from an earlier call. A
-    rank-deficient fit at any frequency raises one `NumericsWarning` per
-    call. Returns per-frequency lists (stacks, (k, L) amplitudes,
-    residuals)."""
-    if stacks is None:
-        L = data[0].shape[1]
-        stacks = [steering_stack(trajectories, array, L, lam) for lam in wavelengths]
+    stack. A rank-deficient fit at any frequency raises one
+    `NumericsWarning` per call. Returns per-frequency lists (stacks, (k, L)
+    amplitudes, residuals)."""
+    L = data[0].shape[1]
+    stacks = [steering_stack(trajectories, array, L, lam) for lam in wavelengths]
     X, R, bad = zip(*(project_out(A, Y) for A, Y in zip(stacks, data)))
     if any(bad):
         warnings.warn(
@@ -259,16 +258,20 @@ def project_all(trajectories, data, array: ArrayConfig, wavelengths, stacks=None
     return stacks, list(X), list(R)
 
 
-def amplitudes_ls(trajectories, blocks, array: ArrayConfig, stacks=None):
+def source_estimates(trajectories, amplitudes) -> list[SourceEstimate]:
+    """One `SourceEstimate` per trajectory, from the per-frequency (k, L)
+    amplitudes of a fit such as `project_all`'s."""
+    return [SourceEstimate(t, tuple(X[i] for X in amplitudes)) for i, t in enumerate(trajectories)]
+
+
+def amplitudes_ls(trajectories, blocks, array: ArrayConfig):
     """Exact per-snapshot least-squares amplitudes for k trajectories.
 
     For every frequency and snapshot l, stacks the k steering vectors into an
     N x k matrix and solves the linear system; this is the closed-form
     minimizer of the fit error over amplitudes. Snapshots where trajectories
     coincide (rank-deficient steering set) fall back to the minimum-norm
-    pseudo-inverse solution and raise a `NumericsWarning`. ``stacks``, the
-    trajectories' per-frequency steering stacks from an earlier
-    `project_all`, are fitted as they are instead of being built again.
+    pseudo-inverse solution and raise a `NumericsWarning`.
 
     Returns one (k, L) complex array per frequency.
     """
@@ -276,7 +279,7 @@ def amplitudes_ls(trajectories, blocks, array: ArrayConfig, stacks=None):
     if len(trajectories) < 1:
         raise ValueError("need at least one trajectory")
     data = [b.data for b in blocks]
-    return project_all(trajectories, data, array, block_wavelengths(array, blocks), stacks)[1]
+    return project_all(trajectories, data, array, block_wavelengths(array, blocks))[1]
 
 
 def _backtrack(value, u, d, g, base, bounds, physical):

@@ -31,8 +31,15 @@ from trajloc import (
     trajectory_rmse,
 )
 from trajloc import gridalgos
-from trajloc.gridalgos import _beam_argmax, _beam_power32, _scan_rows, _tile_rows, grid_beam_power, local_maxima
-from trajloc.gridless import RunTrace, _coarse_start
+from trajloc.gridalgos import (
+    _beam_argmax,
+    _beam_power32,
+    _coarse_start,
+    _scan_rows,
+    _tile_rows,
+    grid_beam_power,
+    local_maxima,
+)
 from trajloc.harness import WIDEBAND_SETS
 from trajloc.grids import coarse_lattice, coarse_shape, nonphysical_mask, phase_rows, phase_table
 from trajloc.model import (
@@ -366,15 +373,30 @@ class TestParallelScan:
 SYMMETRIC_GRID = build_grid([("phi", -85, 2, 85), ("alpha1", -5, 0.5, 5)], LINEAR)
 
 
+def scan_kind(grid, rows):
+    """Which certified scan a `_beam_power32` call serves: the full grid,
+    the coarse lattice or a set of rows."""
+    if rows is None:
+        return "full"
+    return "lattice" if np.array_equal(rows, coarse_lattice(grid)) else "rows"
+
+
+ALL_SCAN_KINDS = {"full", "lattice", "rows"}
+
+
 def exact_scans(monkeypatch):
     """Make every complex64 scan return the float64 values with a zero
-    bound, so the estimators decide as from float64 scans alone."""
+    bound, so the estimators decide as from float64 scans alone. Returns
+    the set of `scan_kind`s served, filled as the scans run."""
+    served = set()
 
     def exact(residuals, grid, array, wavelengths, rows=None):
+        served.add(scan_kind(grid, rows))
         values = grid_beam_power(residuals, grid, array, wavelengths, rows=rows)
         return values, np.zeros_like(values)
 
     monkeypatch.setattr(gridalgos, "_beam_power32", exact)
+    return served
 
 
 def ends_or_inside(rng, n):
@@ -385,15 +407,19 @@ def ends_or_inside(rng, n):
 def adversarial_scans(monkeypatch):
     """Move every complex64 value to the end of its bound that hurts: the
     float64 winners (the local maxima, or the argmax of a set of rows that
-    is no lattice) down, every other row up."""
+    is no lattice) down, every other row up. Returns the set of
+    `scan_kind`s served, filled as the scans run."""
     real = gridalgos._beam_power32
+    served = set()
 
     def adversarial(residuals, grid, array, wavelengths, rows=None):
+        kind = scan_kind(grid, rows)
+        served.add(kind)
         _, bound = real(residuals, grid, array, wavelengths, rows=rows)
         exact = grid_beam_power(residuals, grid, array, wavelengths, rows=rows)
-        if rows is None:
+        if kind == "full":
             down = local_maxima(exact, grid.shape)
-        elif np.array_equal(rows, coarse_lattice(grid)):
+        elif kind == "lattice":
             down = local_maxima(exact, coarse_shape(grid))
         else:
             down = [np.argmax(exact)]
@@ -402,6 +428,7 @@ def adversarial_scans(monkeypatch):
         return np.maximum(pushed, 0.0), bound
 
     monkeypatch.setattr(gridalgos, "_beam_power32", adversarial)
+    return served
 
 
 def decisions(blocks, grid, array, K):
@@ -410,7 +437,7 @@ def decisions(blocks, grid, array, K):
     lams = block_wavelengths(array, blocks)
     omp = [e.params for e in tl_omp(blocks, grid, array, K)[0]]
     peaks = find_peaks(tl_cbf_spectrum(blocks, grid, array), K + 2).entries
-    start = _coarse_start([b.data for b in blocks], grid, array, lams, RunTrace())
+    start = _coarse_start([b.data for b in blocks], grid, array, lams, [])
     return omp, peaks, start
 
 
@@ -466,10 +493,11 @@ class TestCertifiedScan:
     def test_adversarial_values_keep_decisions(self, monkeypatch, four_sources, freqs):
         array = ArrayConfig(10) if freqs is None else ArrayConfig.for_frequencies(10, freqs)
         blocks, _ = synthesize_block(four_sources, array, 30, 5.0, freqs, seed=601)
-        adversarial_scans(monkeypatch)
+        pushed = adversarial_scans(monkeypatch)
         got = decisions(blocks, SYMMETRIC_GRID, array, 4)
-        exact_scans(monkeypatch)
+        exact = exact_scans(monkeypatch)
         assert got == decisions(blocks, SYMMETRIC_GRID, array, 4)
+        assert pushed == exact == ALL_SCAN_KINDS
 
     @pytest.mark.parametrize("excess", [0.0, 2e-7, -2e-7])
     def test_near_tie_of_equal_power_sources(self, monkeypatch, array, excess):
@@ -493,10 +521,11 @@ class TestCertifiedScan:
         got = decisions(blocks, SYMMETRIC_GRID, array, 2)
         assert [p for p, _ in got[1][:2]] == [grid_point(SYMMETRIC_GRID, i), grid_point(SYMMETRIC_GRID, j)]
         assert [v for _, v in got[1][:2]] == [exact[i], exact[j]]
-        adversarial_scans(monkeypatch)
+        pushed = adversarial_scans(monkeypatch)
         assert decisions(blocks, SYMMETRIC_GRID, array, 2) == got
-        exact_scans(monkeypatch)
+        exact = exact_scans(monkeypatch)
         assert decisions(blocks, SYMMETRIC_GRID, array, 2) == got
+        assert pushed == exact == ALL_SCAN_KINDS
 
     @given(
         seed=st.integers(0, 2**16),
@@ -555,8 +584,9 @@ class TestCertifiedScan:
         omp, peaks, start = decisions(scaled, SYMMETRIC_GRID, array, 4)
         plain = decisions(blocks, SYMMETRIC_GRID, array, 4)
         assert (omp, [p for p, _ in peaks], start) == (plain[0], [p for p, _ in plain[1]], plain[2])
-        exact_scans(monkeypatch)
+        exact = exact_scans(monkeypatch)
         assert (omp, peaks, start) == decisions(scaled, SYMMETRIC_GRID, array, 4)
+        assert exact == ALL_SCAN_KINDS
 
 
 class TestCbfSpectrum:

@@ -36,7 +36,7 @@ from conftest import source_order_pair
 LINEAR = TrajectoryModel.polynomial(1)
 
 
-def reference_coarse_start(residuals, grid, array, wavelengths, trace):
+def reference_coarse_start(residuals, grid, array, wavelengths, flags):
     """The full-grid start search that _coarse_start replaces: the argmax of
     a scan of every grid point."""
     values = grid_beam_power(residuals, grid, array, wavelengths)
@@ -228,7 +228,7 @@ class TestCoarseStarts:
                 cell.sources, cell.array, cell.snapshots, cell.snr_db, cell.frequencies, seed
             )
         args = ([b.data for b in blocks], cell.grid, cell.array, block_wavelengths(cell.array, blocks))
-        start = gridless._coarse_start(*args, gridless.RunTrace())
+        start = gridless._coarse_start(*args, [])
         assert start == reference_rescan_start(grid_beam_power(*args), cell.grid)
 
     @pytest.mark.parametrize("estimator", [tl_sfw, tl_nomp])

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,19 @@ def test_linear_grid_size(linear_grid):
 def test_quadratic_grid_size():
     grid = QUADRATIC_GRID
     assert grid.size == 86 * 21 * 21 == 37926
+
+
+def test_cached_shape_keeps_hash_equality_and_pickling():
+    # shape and size are cached on the frozen grid; the cache must not change
+    # which grids are equal, nor what a --jobs worker unpickles
+    axes = [("phi", -85, 2, 85), ("alpha1", -5, 0.5, 5)]
+    a, b = build_grid(axes, TrajectoryModel.polynomial(1)), build_grid(axes, TrajectoryModel.polynomial(1))
+    assert (a.shape, a.size) == ((86, 21), 1806)
+    assert a == b and hash(a) == hash(b)
+    assert param_matrix(a) is param_matrix(b)
+    c = pickle.loads(pickle.dumps(a))
+    assert (c.shape, c.size) == (a.shape, a.size) and c == b and hash(c) == hash(b)
+    assert param_matrix(c) is param_matrix(b)
 
 
 def test_degenerate_single_point_axis():
