@@ -2,51 +2,50 @@
 TL-OMP greedy pursuit, the TL-SBL hyperparameter iteration, and the
 coarse-to-fine grid start of the gridless estimators (`_coarse_start`).
 
-All scans share one vectorized kernel that evaluates the beam power of every
-grid trajectory against a set of residual matrices; wideband inputs are
-handled non-coherently by summing that power over frequencies, so a single
-narrowband block is just the F=1 special case of the same code path.
+The beam power of a grid trajectory against residual matrices R_f is
+(1/L) sum_l Q_l(x_l), where x_l is the sine of its DOA at snapshot l and
 
-The kernel is generic in the phasors' dtype. Every scan whose caller uses
-only a decision runs it in complex64 on the cached complex64 phasor table
-(`_beam_power32`), which also returns a certified bound on each row's
-distance from the float64 scan: TL-OMP's argmax, TL-CBF's local maxima and
-their ranking, and the coarse start's lattice maxima and best neighbor. All
-of them are made here, by `_beam_argmax` and `_scan_maxima`: the rows whose
-decision the bound leaves open are rescanned in float64 (`grid_beam_power`,
-from phasor rows built on demand), so every decision is exactly the float64
-scan's.
+    Q_l(x) = sum_f |sum_n R_f[n, l] exp(-j n s_f x)|^2,
 
-The kernel walks the grid in blocks of 512 KB of accumulator. What its
+s_f being frequency f's phase scale. Wideband inputs are handled
+non-coherently by that sum over frequencies, so a single narrowband block is
+the F = 1 case of the same code.
+
+Every scan whose caller uses only a decision runs in two stages. Once per
+residual set, `_tabulate` evaluates each Q_l at `_INTERVALS` + 3 equispaced
+nodes of x and turns each node interval into the cubic through its four
+surrounding nodes. Then `_interpolated_power` evaluates, at every scanned
+grid point, those cubics at the point's cached positions
+(`grids.sine_positions`) and sums them over the snapshots. So a scan costs
+O(M L) whatever F and N are, plus an O(T L F N) tabulation, and it returns a
+certified bound on each row's distance from the float64 scan. The decisions
+are TL-OMP's argmax, TL-CBF's local maxima and their ranking, and the coarse
+start's lattice maxima and best neighbor. All of them are made here, by
+`_beam_argmax` and `_scan_maxima`: the rows whose decision the bound leaves
+open are rescanned in float64 (`grid_beam_power`, from phasor rows built on
+demand), so every decision is exactly the float64 scan's.
+
+The float64 scan walks its rows in blocks of 512 KB of accumulator. What its
 sensor recursion touches stays in a core's L2 cache: the block's accumulator,
-the block's rows of the (M, L) phasor table and a tile of the conjugated
-residual rows, where a whole-table pass would stream the table from memory
-once per sensor. The recursion runs on conj(R) against the table rows as
-they are: that gives the conjugate of each beam sum, whose squared modulus
-is the same to the bit, so no table row is conjugated and a full scan copies
-none. The blocking changes no element's arithmetic: spectra are
-bit-identical to a whole-table pass. The same kernel scans a subset of rows,
-bit-identical at each row to the full scan, and the scans zero the grid
-points whose trajectory leaves (-90, 90) degrees.
-
-A scan of at least two blocks splits its rows into one contiguous share per
-CPU the process may run on (`os.sched_getaffinity`), each scanned by its own
-thread; numpy releases the interpreter lock inside the block operations. No
-row's arithmetic depends on the split, so results are the same whatever the
-number of CPUs. These threads are not BLAS threads: pinning BLAS to one
-thread does not govern them. They start and finish within one scan, so no
-thread is alive when the harness forks its worker processes.
+the block's phasor rows and a tile of the conjugated residual rows, where a
+whole-table pass would stream the (M, L) rows from memory once per sensor.
+The recursion runs on conj(R) against the phasor rows as they are: that gives
+the conjugate of each beam sum, whose squared modulus is the same to the
+bit, so no row is conjugated or copied. The blocking changes no element's
+arithmetic: values are bit-identical to a whole-table pass, at each row
+whichever other rows are scanned. Every scan zeroes the grid points whose
+trajectory leaves (-90, 90) degrees. Scans run serially, in the calling
+thread.
 """
 
 from __future__ import annotations
 
-import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import (
     ParamGrid,
@@ -55,7 +54,7 @@ from .grids import (
     grid_point,
     nonphysical_mask,
     phase_rows,
-    phase_table,
+    sine_positions,
 )
 from .model import (
     ArrayConfig,
@@ -77,9 +76,10 @@ from .optim import (
 class Spectrum:
     """Real, finite, non-negative power (or variance) value at every grid
     point. A TL-CBF spectrum holds the float64 scan's value at every local
-    maximum, and at every point whose local-maximum test the complex64
+    maximum, and at every point whose local-maximum test the interpolated
     scan's bound left open together with its neighbors; elsewhere its values
-    are within that bound, at most about 1e-5 of the largest."""
+    are within that bound, about 1e-6 of the largest on the built-in
+    scenarios."""
 
     grid: ParamGrid
     values: np.ndarray
@@ -134,35 +134,50 @@ SBL_PRUNE = 1e-6  # TL-SBL drops a gamma below this share of the largest
 SBL_MAX_ITERS = 500
 PEAK_EXCESS = 2  # spectrum methods report K + PEAK_EXCESS peaks for K sources
 
-# Bytes of one (rows, L) block of the scan, in the tables' dtype. A 2 MB
-# per-core L2 cache holds a share's accumulator block, the block's phasor rows
-# and its tile of conj(R): N rows of `_tile_rows` * L elements each, 320 KB at
-# N = 10 in complex64.
+
+# Bytes of one (rows, L) complex128 block of the float64 scan. A 2 MB
+# per-core L2 cache holds the block's accumulator, its phasor rows and its
+# tile of conj(R): N rows of `_tile_rows` * L elements each, 640 KB at
+# N = 10.
 _SCAN_BLOCK_BYTES = 1 << 19
 
-# The certificate of a complex64 scan (`_beam_power32`). Per snapshot, a
-# complex64 Horner sum of N terms is within u32 * sum_n w_n |R[n, l]| of the
-# complex128 scan's, with w_n = _HORNER_SLOPE * n + _HORNER_BASE. Term n meets
-# n complex multiplies (sqrt(2)*gamma_2 each, Higham 2002, lemma 3.5) and at
-# most n + 1 complex adds (u each), the rounding of its table entry raised to
-# the n-th power (n u) and the rounding of conj(R) (u): (4.83 n + 2) u to
-# first order. The slack up to 5 n + 3 covers the second-order terms and the
-# complex128 scan's own rounding, 2^-29 times smaller. _TINY32 per term and
-# per square bounds what float32 underflow adds.
-_HORNER_SLOPE = 5
-_HORNER_BASE = 3
-_U32 = float(np.finfo(np.float32).eps) / 2
-_TINY32 = float(np.finfo(np.float32).tiny)
+# T, the number of equal intervals of x = sin(theta) over [-1, 1] on which a
+# scan interpolates (`_tabulate`). A power of two, so the nodes and their
+# spacing h = 2/T are exact. The bound falls as T^-4 and the tabulation
+# costs O(T). Measured over 8 `wideband` F = 7 trials: T = 256 leaves 386
+# rows per trial to the float64 rescans, against 32, which costs more than
+# the halved tabulations save; T = 1024 doubles them to save 7 rows.
+_INTERVALS = 512
+
+# The cubic through the values p(-1), p(0), p(1), p(2) of four equispaced
+# nodes, as its monomial coefficients in t on [0, 1]: coefficient k is
+# _CUBIC[k] @ p.
+_CUBIC = np.array(
+    [
+        [0.0, 1.0, 0.0, 0.0],
+        [-1 / 3, -1 / 2, 1.0, -1 / 6],
+        [1 / 2, -1.0, 1 / 2, 0.0],
+        [-1 / 6, 1 / 2, -1 / 2, 1 / 6],
+    ]
+)
+
+_U = float(np.finfo(float).eps) / 2  # float64 unit roundoff
+_TINY = 2.0**-1074  # the smallest positive float64
 
 
-def _scan_rows(L: int, dtype=complex) -> int:
-    """Grid rows per scan block at block length L: 1092 at L = 30 in
-    complex128, 2184 in complex64."""
-    return max(1, _SCAN_BLOCK_BYTES // (np.dtype(dtype).itemsize * L))
+def _scan_rows(L: int) -> int:
+    """Grid rows per float64 scan block at block length L: 1092 at L = 30."""
+    return max(1, _SCAN_BLOCK_BYTES // (16 * L))
+
+
+def _eval_rows(L: int) -> int:
+    """Grid rows per block of an interpolated scan at block length L, half
+    `_scan_rows`: 546 at L = 30, whose gathered coefficients take 512 KB."""
+    return max(1, _SCAN_BLOCK_BYTES // (32 * L))
 
 
 def _tile_rows(L: int) -> int:
-    """Rows of a scan share's tile of conj(R) at block length L (137 at
+    """Rows of the float64 scan's tile of conj(R) at block length L (137 at
     L = 30): the fewest whose tile row numpy adds unbuffered. Its ufunc loop
     stages a broadcast row of up to half its buffer (`np.getbufsize`, 8192
     elements by default) through that buffer; on numpy 2.4 such an add ran
@@ -170,43 +185,29 @@ def _tile_rows(L: int) -> int:
     return np.getbufsize() // (2 * L) + 1
 
 
-def _scan_workers(M: int, step: int) -> int:
-    """Threads for a scan of M rows in blocks of ``step``: one per CPU this
-    process may run on, but never so many that a share is under one full
-    block (a scan of fewer than two blocks stays serial, where starting a
-    thread costs more than it saves)."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, M // step))
+def _scan(residuals, tables) -> np.ndarray:
+    """Beam power row sums of the complex128 phasor rows ``tables`` (one
+    (M, L) array per frequency), frequency f's in row f of the (F, M)
+    result: the sensor recursion block by block, every frequency in order,
+    with each row's sum over the snapshots taken in float64.
 
-
-def _scan_share(residuals, tables, rows, lo, hi, step, values):
-    """Beam power of rows lo:hi of the scan, frequency f's into
-    ``values[f, lo:hi]``: the sensor recursion block by block, every
-    frequency in order, in this share's own scratch and in the tables'
-    dtype, with each row's sum over the snapshots taken in float64.
-
-    The recursion runs on conj(R) against the table rows as they are, which
+    The recursion runs on conj(R) against the phasor rows as they are, which
     yields the conjugate of each element's sum, so |.|^2 is the same to the
-    bit and no table row is conjugated. conj(R) is rounded to the tables'
-    dtype and repeated `_tile_rows` times per row, so each Horner add is one
-    long tile row broadcast over a block's whole tiles, plus a prefix of it
-    over the rows left over."""
+    bit and no row is conjugated. conj(R) is repeated `_tile_rows` times per
+    row, so each Horner add is one long tile row broadcast over a block's
+    whole tiles, plus a prefix of it over the rows left over."""
     N, L = residuals[0].shape
-    dtype = tables[0].dtype
-    size = min(step, hi - lo)
-    width = min(size, _tile_rows(L)) * L
-    tiles = np.empty((N, width), dtype=dtype)
-    acc_block = np.empty(size * L, dtype=dtype)
-    gathered = None if rows is None else np.empty((size, L), dtype=dtype)
+    M = tables[0].shape[0]
+    step = max(1, min(M, _scan_rows(L)))
+    values = np.empty((len(tables), M))
+    width = min(step, _tile_rows(L)) * L
+    tiles = np.empty((N, width), dtype=complex)
+    acc_block = np.empty(step * L, dtype=complex)
     for R, table, out in zip(residuals, tables, values):
         np.conjugate(R[:, None, :], out=tiles.reshape(N, -1, L))
-        for s in range(lo, hi, step):
-            e = min(s + step, hi)
-            E = table[s:e] if rows is None else np.take(table, rows[s:e], axis=0, out=gathered[: e - s])
-            E = E.reshape(-1)
+        for s in range(0, M, step):
+            e = min(s + step, M)
+            E = table[s:e].reshape(-1)
             acc = acc_block[: E.size]
             whole = E.size - E.size % width
             parts = [
@@ -226,36 +227,11 @@ def _scan_share(residuals, tables, rows, lo, hi, step, values):
                     a += t[n]
             # |acc|^2 in place: fresh temporaries per block made the allocator
             # hand pages back and fault them in again on every scan
-            f = acc.view(acc.real.dtype)
+            f = acc.view(float)
             np.square(f, out=f)
             re = f[0::2]
             re += f[1::2]
             out[s:e] = re.reshape(e - s, L).sum(axis=1, dtype=float)
-
-
-def _scan(residuals, tables, rows, M):
-    """Per-frequency row sums of `_scan_share` over the M table rows ``rows``
-    (every row when None), shape (F, M). The rows are split into contiguous
-    equal shares, one per thread (`_scan_workers`), and every thread is
-    joined before the call returns."""
-    L = tables[0].shape[1]
-    step = max(1, min(M, _scan_rows(L, tables[0].dtype)))
-    values = np.empty((len(tables), M))
-    workers = _scan_workers(M, step)
-    edges = [M * i // workers for i in range(workers + 1)]
-    shares = list(zip(edges[:-1], edges[1:]))
-    if workers == 1:  # a serial scan starts no thread
-        _scan_share(residuals, tables, rows, 0, M, step, values)
-        return values
-    # the calling thread scans the first share
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        futures = [
-            pool.submit(_scan_share, residuals, tables, rows, lo, hi, step, values)
-            for lo, hi in shares[1:]
-        ]
-        _scan_share(residuals, tables, rows, *shares[0], step, values)
-        for f in futures:
-            f.result()
     return values
 
 
@@ -264,22 +240,17 @@ def grid_beam_power(
 ) -> np.ndarray:
     """Beam power (1/L) sum_f sum_l |a_lf^H r_lf|^2 at every grid point, or
     at the grid points ``rows`` (strictly increasing linear indices) only,
-    in complex128: the reference scan, and the rescan that settles what a
-    complex64 scan (`_beam_power32`) leaves open.
+    in complex128: the reference scan, and the rescan that settles what an
+    interpolated scan (`_interpolated_power`) leaves open.
 
     Horner recursion over the sensor index against the complex128 phasor
     rows of the scanned points (`phase_rows`, built for the call), so a scan
-    costs N - 1 complex multiply-adds of an (M, L) array per frequency. The
-    recursion runs on conj(R), whose sum is the conjugate of a^H r with the
-    same squared modulus, so the rows need no conjugate. It runs over blocks
-    of `_scan_rows` grid rows: the accumulator, the block's phasor rows and
-    the tiled conj(R) stay in cache through the whole recursion, where a
-    whole-table pass would stream the (M, L) rows from memory once per
-    sensor. Every element sees the same arithmetic in the same order as in
-    a whole-table pass, and each phasor row is the same to the bit whichever
-    rows are built with it, so the values depend neither on the block size
-    nor on which other rows are scanned. The residuals have at least two
-    sensor rows, as every `ArrayConfig` has at least two sensors.
+    costs N - 1 complex multiply-adds of an (M, L) array per frequency
+    (`_scan`). Every element sees the same arithmetic in the same order as
+    in a whole-table pass, and each phasor row is the same to the bit
+    whichever rows are built with it, so the values depend neither on the
+    block size nor on which other rows are scanned. The residuals have at
+    least two sensor rows, as every `ArrayConfig` has at least two sensors.
 
     Grid trajectories that leave (-90, 90) degrees (`nonphysical_mask`) get
     power 0, so no peak search or argmax can return them.
@@ -296,62 +267,173 @@ def grid_beam_power(
         mask, picked = mask[rows], rows
     tables = [phase_rows(grid, L, _phase_scale(array, lam), picked) for lam in wavelengths]
     values = np.zeros(mask.size)
-    for v in _scan(residuals, tables, None, mask.size):  # frequencies in order
+    for v in _scan(residuals, tables):  # frequencies in order
         values += v
     values[mask] = 0.0
     return values / L
 
 
-def _beam_power32(residuals, grid: ParamGrid, array: ArrayConfig, wavelengths, rows=None):
-    """`grid_beam_power` run in complex64 on the cached tables (`phase_table`),
-    with a certificate: (values, bound), where |values - grid_beam_power(...)|
-    <= bound at every scanned row. ``rows`` must be valid for
-    `grid_beam_power`.
+@lru_cache(maxsize=8)
+def _node_matrix(phase_scales: tuple, N: int) -> np.ndarray:
+    """The phasor powers of `_tabulate`'s nodes as real matrices, shape
+    (F, 2 (T + 3), 2 N): with V[k, n] = exp(-j n s_f x_k) at the nodes
+    x_k = -1 + (k - 1) h, h = 2 / `_INTERVALS`, frequency f's matrix is
+    [[Re V, -Im V], [Im V, Re V]], so that it maps [Re R; Im R] to
+    [Re VR; Im VR]."""
+    x = (2.0 / _INTERVALS) * np.arange(-1, _INTERVALS + 2) - 1.0  # exact
+    nx = np.multiply.outer(x, np.arange(N))  # exact: small integers times dyadic nodes
+    out = np.empty((len(phase_scales), 2 * x.size, 2 * N))
+    for s, m in zip(phase_scales, out):
+        V = np.exp(-1j * s * nx)
+        m[: x.size, :N], m[: x.size, N:] = V.real, -V.imag
+        m[x.size :, :N], m[x.size :, N:] = V.imag, V.real
+    out.setflags(write=False)
+    return out
 
-    Each frequency's residual is first scaled by the power of two 2^-e that
-    brings its largest modulus into [0.5, 1), so float32 neither overflows
-    nor underflows where float64 does not, and its powers are scaled back by
-    4^e, exactly. With delta_lf the bound on snapshot l's beam sum at
-    frequency f (see `_HORNER_SLOPE`; it is the same at every grid point,
-    since every phasor has modulus 1) and Delta^2 = sum_f sum_l delta_lf^2,
-    Cauchy-Schwarz over the L F sums of a row gives
 
-        bound = (2 sqrt(L v) Delta + Delta^2) / L + 4 u32 v + underflow,
+@dataclass(frozen=True, eq=False)
+class _BeamTable:
+    """One residual set's beam power, tabulated for interpolation
+    (`_tabulate`), with what its float64 rescans need (`rescan`).
 
-    where 4 u32 v covers the rounding of the float32 squares and the sums.
-    A row whose bound is 0 (a masked row, or an all-zero residual) holds
-    its exact value.
+    ``coeffs[i * L + l]`` holds the monomial coefficients (in t) of the
+    cubic that stands for snapshot l's power Q_l on interval i.
+    ``snapshot_bounds[l]`` bounds how far that cubic, at any grid point's
+    position, lies from the float64 scan's terms of snapshot l, summed over
+    the frequencies; it is 0 for an all-zero snapshot, whose cubics are 0.
+    ``bound`` is their mean over the snapshots plus the underflow slack: the
+    bound of every unmasked row, 0 for an all-zero residual. ``scratch``
+    holds the block buffers of its scans, made in one allocation with the
+    coefficients: made afresh per scan, they had the allocator hand their
+    pages back and fault them in again, some 200 page faults per `tl_omp`
+    call at F = 1. So a table serves one thread."""
+
+    residuals: list
+    grid: ParamGrid
+    array: ArrayConfig
+    wavelengths: tuple
+    coeffs: np.ndarray
+    snapshot_bounds: np.ndarray
+    bound: float
+    scratch: np.ndarray
+
+    def rescan(self, rows) -> np.ndarray:
+        """The float64 scan (`grid_beam_power`) of the grid points ``rows``."""
+        return grid_beam_power(self.residuals, self.grid, self.array, self.wavelengths, rows=rows)
+
+
+def _tabulate(residuals, grid: ParamGrid, array: ArrayConfig, wavelengths) -> _BeamTable:
+    """Stage 1 of a scan: each snapshot's beam power Q_l at the T + 3 nodes
+    x_k = -1 + (k - 1) h, h = 2/T and T = `_INTERVALS`, one node past each
+    end of [-1, 1], as real matrix products of the nodes' phasor powers
+    (`_node_matrix`) with the residuals; then each interval
+    [x_{i+1}, x_{i+2}] as the monomial coefficients, in t = (x - x_{i+1}) / h,
+    of the cubic through its four surrounding nodes (`_CUBIC`). Costs
+    O(T L F N) and holds T L 32 bytes of coefficients (492 KB at L = 30),
+    besides the scratch that its nodes and then its scans use.
+
+    The bound, per snapshot l and frequency f, with s = s_f, A_n =
+    |R_f[n, l]|, a = sum_n A_n and the lag moments
+    m_k = sum_{n,m} |n - m|^k A_n A_m:
+    - Interpolation. Q_lf(x) = sum_{n,m} R_f[n, l] conj(R_f[m, l])
+      exp(-j (n - m) s x), so its fourth derivative is at most s^4 m_4 in
+      modulus on the whole real line. The cubic Lagrange remainder is
+      Q^(4)(xi) h^4 (t+1) t (t-1) (t-2) / 24, and |(t+1) t (t-1) (t-2)| <=
+      9/16 on [0, 1]: at most (3/128) (h s)^4 m_4. Bernstein's inequality
+      would give ((N - 1) s)^4 a^2 in place of s^4 m_4, which weighs every
+      sensor pair by the largest lag: ten times as much for N = 10 equal
+      moduli.
+    - Position. `sine_positions` places x within h 2^-25 + 2^-51 of the sine
+      the float64 scan sees, which moves Q_lf by at most s m_1 times that.
+    - Rounding, in units u a^2, to first order. The float64 scan's phasor
+      powers are within (n s + 4) u of exp(j n s x) and its Horner rounds
+      term n by (4 n + 1) u; the nodes' phasor powers are within
+      (2 n s + 4) u and their real products round by at most 4 N u. So
+      either beam sum is within (2 (N - 1) s + 8 N + 4) u a, and its |.|^2
+      within twice that plus 2 u. The cubic passes the nodes' errors on
+      times its Lebesgue constant, 1.25. Add the sums over L F terms (the
+      float64 scan) and 2 F terms (the nodes), the coefficients (32 u), the
+      evaluation's Horner at t in [0, 1] (38 u) and its sum over the
+      snapshots (1.25 L + 1) u. All of it is covered by
+      10 N (s + 8) + 2 (L + 2) (F + 1) + 128 units, with room for the
+      second-order terms.
+    - Underflow adds at most (4 F + 16) 2^-1074 to a row, where the residual
+      is not all zero.
     """
     N, L = residuals[0].shape
-    mask = nonphysical_mask(grid, L)
+    F = len(residuals)
+    h = 2.0 / _INTERVALS
+    K = _INTERVALS + 3
+    size = _INTERVALS * L * 4
+    store = np.empty(size + max((2 * F + 1) * K * L, 6 * _eval_rows(L) * L))
+    coeffs, scratch = store[:size], store[size:]
+    scales = np.array([_phase_scale(array, lam) for lam in wavelengths])
+    R = np.stack(residuals)  # (F, N, L)
+    parts = scratch[: 2 * F * K * L].reshape(F, 2 * K, L)
+    power = scratch[2 * F * K * L : (2 * F + 1) * K * L].reshape(K, L)
+    np.matmul(_node_matrix(tuple(scales), N), np.concatenate([R.real, R.imag], axis=1), out=parts)
+    np.square(parts, out=parts)
+    parts.reshape(2 * F, K, L).sum(axis=0, out=power)
+    A = np.abs(R)
+    lags = np.abs(np.subtract.outer(np.arange(N), np.arange(N))).astype(float)
+    moments = A[:, None] * np.matmul(np.stack([lags**4, lags]), A[:, None])  # (F, 2, N, L)
+    m4, m1 = moments.sum(axis=2).transpose(1, 0, 2)  # each (F, L)
+    a = A.sum(axis=1)
+    snapshot_bounds = (
+        ((3 / 128) * (h * scales) ** 4) @ m4
+        + (scales * (h * 2.0**-25 + 2.0**-51)) @ m1
+        + ((10 * N * (scales + 8) + 2 * (L + 2) * (F + 1) + 128) * _U) @ (a * a)
+    )
+    # windows[i, l] = power[i : i + 4, l], the nodes around interval i
+    np.matmul(sliding_window_view(power, 4, axis=0), _CUBIC.T, out=coeffs.reshape(_INTERVALS, L, 4))
+    bound = float(snapshot_bounds.sum()) / L + ((4 * F + 16) * _TINY if a.any() else 0.0)
+    return _BeamTable(
+        list(residuals), grid, array, tuple(wavelengths),
+        coeffs.reshape(-1, 4), snapshot_bounds, bound, scratch,
+    )
+
+
+def _interpolated_power(table: _BeamTable, rows=None):
+    """Stage 2 of a scan: the interpolated beam power at every grid point,
+    or at the grid points ``rows`` (valid for `grid_beam_power`), with its
+    certificate: (values, bound), where |values - grid_beam_power(...)| <=
+    bound at every scanned row.
+
+    Each row sums, over the snapshots, its cubic (`_tabulate`) at its cached
+    position (`sine_positions`), by Horner in t. Rows run in blocks of
+    `_eval_rows`, in the table's scratch. Values are clamped at 0, as the
+    float64 values are non-negative. Masked rows are 0 with bound 0, and so
+    is every row of an all-zero residual; every other row has the table's
+    bound."""
+    L = table.snapshot_bounds.size
+    cell, t = sine_positions(table.grid, L, _INTERVALS)
+    mask = nonphysical_mask(table.grid, L)
     if rows is not None:
         mask = mask[rows]
-    tables = [phase_table(grid, L, _phase_scale(array, lam)) for lam in wavelengths]
-    weights = _HORNER_SLOPE * np.arange(N) + _HORNER_BASE
-    scaled, exps = [], []
-    delta2 = floor = 0.0
-    for R in residuals:
-        mag = np.abs(R)
-        peak = float(mag.max())
-        e = math.frexp(peak)[1]  # 0 for an all-zero residual
-        Rs = np.ldexp(np.ascontiguousarray(R).view(float), -e).view(complex)
-        scaled.append(Rs.astype(np.complex64))  # the tiles' dtype: conj(R) fills them uncast
-        exps.append(2 * e)
-        delta = weights @ (_U32 * mag + math.ldexp(_TINY32, e))  # (L,), unscaled
-        delta[~mag.any(axis=0)] = 0.0  # an all-zero snapshot sums to 0 exactly
-        delta2 += float(delta @ delta)
-        floor += float(np.ldexp(_TINY32, 2 * e)) if peak > 0 else 0.0
-    per = _scan(scaled, tables, rows, mask.size)
-    values = np.ldexp(per[0], exps[0], out=per[0])
-    for v, e in zip(per[1:], exps[1:]):
-        values += np.ldexp(v, e, out=v)
-    values[mask] = 0.0
+    M = mask.size
+    step = max(1, min(M, _eval_rows(L)))
+    gathered = table.scratch[: 4 * step * L].reshape(-1, 4)
+    at = table.scratch[4 * step * L : 5 * step * L]
+    acc = table.scratch[5 * step * L : 6 * step * L]
+    values = np.empty(M)
+    for s in range(0, M, step):
+        e = min(s + step, M)
+        n = (e - s) * L
+        picked = slice(s, e) if rows is None else rows[s:e]
+        c, tt, a = gathered[:n], at[:n], acc[:n]
+        np.take(table.coeffs, cell[picked].reshape(-1), axis=0, out=c, mode="clip")
+        np.copyto(tt, t[picked].reshape(-1))
+        np.multiply(c[:, 3], tt, out=a)
+        a += c[:, 2]
+        a *= tt
+        a += c[:, 1]
+        a *= tt
+        a += c[:, 0]
+        np.einsum("ij->i", a.reshape(e - s, L), out=values[s:e])
     values /= L
-    bound = np.sqrt(values)
-    np.multiply(bound, 4 * _U32 * bound + 2 * np.sqrt(delta2 / L), out=bound)
-    bound += delta2 / L + floor
-    bound[mask] = 0.0
-    return values, bound
+    np.maximum(values, 0.0, out=values)
+    values[mask] = 0.0
+    return values, np.where(mask, 0.0, table.bound)
 
 
 def _rescore(values, bound, picked, rescan) -> None:
@@ -403,15 +485,13 @@ def _settle_local_maxima(values, bound, shape, rescan, ranked: bool) -> np.ndarr
     return maybe[sure]
 
 
-def _scan_maxima(residuals, grid, array, wavelengths, rows, shape, ranked: bool):
-    """A complex64 scan (`_beam_power32`) of the grid points ``rows`` (all
-    when None), laid out on a lattice of ``shape``, with its local maxima
-    settled as the float64 scan's (`_settle_local_maxima`): (values, the
-    maxima's positions in the scan)."""
-    values, bound = _beam_power32(residuals, grid, array, wavelengths, rows=rows)
-    rescan = lambda idx: grid_beam_power(
-        residuals, grid, array, wavelengths, rows=idx if rows is None else rows[idx]
-    )
+def _scan_maxima(table: _BeamTable, rows, shape, ranked: bool):
+    """An interpolated scan (`_interpolated_power`) of the grid points
+    ``rows`` (all when None), laid out on a lattice of ``shape``, with its
+    local maxima settled as the float64 scan's (`_settle_local_maxima`):
+    (values, the maxima's positions in the scan)."""
+    values, bound = _interpolated_power(table, rows=rows)
+    rescan = table.rescan if rows is None else lambda idx: table.rescan(rows[idx])
     return values, _settle_local_maxima(values, bound, shape, rescan, ranked)
 
 
@@ -419,16 +499,17 @@ def tl_cbf_spectrum(blocks, grid: ParamGrid, array: ArrayConfig) -> Spectrum:
     """Conventional-beamforming power spectrum over the trajectory grid.
 
     Single-frequency input gives the narrowband spectrum; wideband block sets
-    sum the spectrum across frequencies. The scan runs in complex64
-    (`_beam_power32`). The values are those of the float64 scan
-    (`grid_beam_power`) at every local maximum, and at every point whose
-    local-maximum test the scan's bound leaves open together with its
-    neighbors; elsewhere they are within that bound. So `find_peaks`
-    returns the float64 scan's peaks, values and order.
+    sum the spectrum across frequencies. The scan interpolates one
+    tabulation of the blocks (`_tabulate`, `_interpolated_power`). The values
+    are those of the float64 scan (`grid_beam_power`) at every local
+    maximum, and at every point whose local-maximum test the scan's bound
+    leaves open together with its neighbors; elsewhere they are within that
+    bound. So `find_peaks` returns the float64 scan's peaks, values and
+    order.
     """
     wavelengths = _check_blocks(blocks, array)
-    residuals = [b.data for b in blocks]
-    values, _ = _scan_maxima(residuals, grid, array, wavelengths, None, grid.shape, ranked=True)
+    table = _tabulate([b.data for b in blocks], grid, array, wavelengths)
+    values, _ = _scan_maxima(table, None, grid.shape, ranked=True)
     return Spectrum(grid, values)
 
 
@@ -475,16 +556,15 @@ def find_peaks(spectrum: Spectrum, count: int) -> PeakSet:
     return PeakSet(entries, shortfall=len(idx) < count)
 
 
-def _beam_argmax(residuals, grid: ParamGrid, array: ArrayConfig, wavelengths, rows=None) -> int:
+def _beam_argmax(table: _BeamTable, rows=None) -> int:
     """The grid index of the largest float64 beam power (`grid_beam_power`)
     over the grid, or over its points ``rows`` (valid for `grid_beam_power`),
-    lowest on a tie: a complex64 scan (`_beam_power32`), then a float64
-    rescore of every point whose bound reaches the largest lower bound."""
-    values, bound = _beam_power32(residuals, grid, array, wavelengths, rows=rows)
+    lowest on a tie: an interpolated scan (`_interpolated_power`), then a
+    float64 rescore of every point whose bound reaches the largest lower
+    bound."""
+    values, bound = _interpolated_power(table, rows=rows)
     contenders = np.flatnonzero(values + bound >= np.max(values - bound))
-    rescan = lambda idx: grid_beam_power(
-        residuals, grid, array, wavelengths, rows=idx if rows is None else rows[idx]
-    )
+    rescan = table.rescan if rows is None else lambda idx: table.rescan(rows[idx])
     _rescore(values, bound, contenders, rescan)
     best = int(contenders[np.argmax(values[contenders])])
     return best if rows is None else int(rows[best])
@@ -494,30 +574,32 @@ def _coarse_start(residuals, grid: ParamGrid, array: ArrayConfig, wavelengths, f
     """The grid start of the next gridless source, without a full scan: the
     local maxima of the coarse lattice's field (`coarse_lattice`), then the
     best point of their full-resolution Chebyshev-1 neighborhoods, lowest
-    index on a tie, each decided as by a float64 scan. Every grid point lies
-    within distance 1 of the lattice, so each basin of the coarse field is
-    entered at full resolution, and the ascent that follows needs no more.
-    A field without maxima appends "coarse-peak-shortfall" to ``flags``."""
+    index on a tie, each decided as by a float64 scan from one tabulation of
+    the residual (`_tabulate`). Every grid point lies within distance 1 of
+    the lattice, so each basin of the coarse field is entered at full
+    resolution, and the ascent that follows needs no more. A field without
+    maxima appends "coarse-peak-shortfall" to ``flags``."""
     L = residuals[0].shape[1]
     lattice = coarse_lattice(grid)
-    _, maxima = _scan_maxima(residuals, grid, array, wavelengths, lattice, coarse_shape(grid), ranked=False)
+    table = _tabulate(residuals, grid, array, wavelengths)
+    _, maxima = _scan_maxima(table, lattice, coarse_shape(grid), ranked=False)
     if maxima.size == 0:
         # a zero residual has a zero field, which holds no peaks
         flags.append("coarse-peak-shortfall")
         return grid_point(grid, int(np.argmin(nonphysical_mask(grid, L))))
     rows = np.unique(_neighborhoods(lattice[maxima], grid.shape))
-    return grid_point(grid, _beam_argmax(residuals, grid, array, wavelengths, rows))
+    return grid_point(grid, _beam_argmax(table, rows))
 
 
 def tl_omp(blocks, grid: ParamGrid, array: ArrayConfig, K: int):
     """Greedy on-grid pursuit of K trajectories.
 
-    Each iteration selects the grid point with maximum beam power against the
-    current residual (`_beam_argmax`, the float64 scan's choice), then
-    re-projects every snapshot of the residual onto the orthogonal complement
-    of all selected steering vectors at that snapshot. Reported amplitudes
-    are the final least-squares fit of the selected trajectories to the raw
-    blocks.
+    Each iteration tabulates the current residual (`_tabulate`) and selects
+    the grid point with maximum beam power against it (`_beam_argmax`, the
+    float64 scan's choice), then re-projects every snapshot of the residual
+    onto the orthogonal complement of all selected steering vectors at that
+    snapshot. Reported amplitudes are the final least-squares fit of the
+    selected trajectories to the raw blocks.
 
     Returns (list of SourceEstimate, residual Frobenius norm after each
     iteration).
@@ -527,7 +609,8 @@ def tl_omp(blocks, grid: ParamGrid, array: ArrayConfig, K: int):
     selected: list[TrajectoryParams] = []
     norms: list[float] = []
     for _ in range(K):
-        selected.append(grid_point(grid, _beam_argmax(residuals, grid, array, wavelengths)))
+        best = _beam_argmax(_tabulate(residuals, grid, array, wavelengths))
+        selected.append(grid_point(grid, best))
         _, _, residuals = project_all(selected, residuals, array, wavelengths)
         norms.append(float(np.sqrt(residual_energy(residuals))))
     return source_estimates(selected, amplitudes_ls(selected, blocks, array)), norms

@@ -3,9 +3,13 @@
 A grid is the Cartesian product of per-parameter axes (phi first, then the
 model coefficients), linearized row-major with phi as the slowest axis. Grids
 and the tables derived from them are immutable; derived tables are memoized
-in small bounded caches so repeated scans do not recompute trigonometry. The
-phasor table is cached in complex64, half the size of complex128; the
-complex128 phasors of a few rows are rebuilt on demand (`phase_rows`).
+in small bounded caches so repeated scans do not recompute trigonometry.
+
+The grid scans read one cached table per (grid, L): where each trajectory's
+sin(theta) falls among equal intervals of [-1, 1] at every snapshot
+(`sine_positions`, 8 bytes per entry, 9.1 MB at M = 37926, L = 30). The
+float64 rescans build the complex128 phasors of the rows they need on demand
+(`phase_rows`). No scan reads the complex64 phasor table (`phase_table`).
 """
 
 from __future__ import annotations
@@ -149,10 +153,43 @@ def phase_rows(grid: ParamGrid, L: int, phase_scale: float, rows) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+def sine_positions(grid: ParamGrid, L: int, intervals: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where x = sin(theta) of every grid trajectory at every snapshot falls
+    among ``intervals`` (a power of two) equal intervals of [-1, 1], as
+    (cell, t), each of shape (M, L): x = -1 + (i + t) * 2 / intervals with
+    i in [0, intervals) and t in [0, 1]. ``cell`` is the int32 index
+    i * L + l, the snapshot folded in (a table of per-interval, per-snapshot
+    rows laid out interval-major), and ``t`` is float32.
+
+    x is computed as `phase_rows` computes it, so it is the sine the float64
+    rescans see; t then deviates from that x by at most 2^-25 of an interval
+    (its float32 rounding) plus 2^-52 (the rounding of x + 1). The table is
+    built a block of rows at a time, so no (M, L) float64 temporary is
+    made."""
+    theta = doa_table(grid, L)
+    cell = np.empty(theta.shape, dtype=np.int32)
+    t = np.empty(theta.shape, dtype=np.float32)
+    snapshots = np.arange(L)
+    step = max(1, (1 << 15) // L)
+    for s in range(0, theta.shape[0], step):
+        u = np.sin(theta[s : s + step] * DEG)
+        u += 1.0
+        u *= intervals / 2  # exact: a power of two
+        i = np.minimum(np.floor(u), intervals - 1)  # x = 1 falls at t = 1 of the last interval
+        np.subtract(u, i, out=t[s : s + step], casting="same_kind")
+        i *= L
+        np.add(i, snapshots, out=cell[s : s + step], casting="unsafe")
+    cell.setflags(write=False)
+    t.setflags(write=False)
+    return cell, t
+
+
+@lru_cache(maxsize=8)
 def phase_table(grid: ParamGrid, L: int, phase_scale: float) -> np.ndarray:
-    """`phase_rows` of the whole grid rounded to complex64, shape (M, L):
-    the table the grid scans run on. Rescans that need complex128 phasors
-    build their rows with `phase_rows`; no complex128 table is cached."""
+    """`phase_rows` of the whole grid rounded to complex64, shape (M, L).
+    No scan reads it: the grid scans interpolate tabulated beam power at
+    `sine_positions`, and the float64 rescans build their rows with
+    `phase_rows`. No complex128 table is cached."""
     table = phase_rows(grid, L, phase_scale, slice(None)).astype(np.complex64)
     table.setflags(write=False)
     return table

@@ -32,10 +32,12 @@ from trajloc import (
 )
 from trajloc import gridalgos
 from trajloc.gridalgos import (
+    _BeamTable,
     _beam_argmax,
-    _beam_power32,
     _coarse_start,
+    _interpolated_power,
     _scan_rows,
+    _tabulate,
     _tile_rows,
     grid_beam_power,
     local_maxima,
@@ -145,7 +147,6 @@ def grid_of_size(M):
 
 
 ROWS = _scan_rows(30)
-ROWS32 = _scan_rows(30, np.complex64)
 TILE = _tile_rows(30)
 WIDEBAND = (1400.0, 1600.0, 1800.0)
 
@@ -209,23 +210,30 @@ class TestGridBeamPower:
         values = grid_beam_power(residuals, grid, array, wavelengths, rows=rows)
         assert np.array_equal(values, reference_beam_power(residuals, grid, array, wavelengths)[rows])
 
-    def test_full_scan_copies_no_table(self, monkeypatch):
-        """The complex64 scan: one share's scratch is an accumulator block
-        and an N-row tile of conj(R), 0.61 MB at N = 3, beside the 0.28 MB
-        of values (the bound's vectors come after the scratch is freed); a
-        copy of the 8.4 MB complex64 table of these 16 blocks of rows is
-        four times the bound. One CPU: one share."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        M = 16 * ROWS32
-        grid, array, wavelengths, residuals = scan_inputs(M, 3, None)
-        _beam_power32(residuals, grid, array, wavelengths)  # the phase table and mask are cached, not counted
+    def test_full_scan_copies_no_table(self):
+        """The interpolated full scan of a wideband F = 7 block, positions
+        cached: its table holds T L 32 bytes of coefficients (0.5 MB) and a
+        scratch of at most (2 F + 1) (T + 3) L 8 bytes (1.9 MB), where its
+        blocks run, and its results are the values and bounds of M rows.
+        Gathering every row's coefficients at once would take M L 32 bytes,
+        16.8 MB here."""
+        M = 16 * ROWS
+        grid = grid_of_size(M)
+        freqs = WIDEBAND_SETS[7]
+        array = ArrayConfig.for_frequencies(10, freqs)
+        lams = tuple(wavelength_for(array, f) for f in freqs)
+        residuals = random_residuals(M, 7)
+        _interpolated_power(_tabulate(residuals, grid, array, lams))  # positions and mask are cached
         tracemalloc.start()
         try:
-            _beam_power32(residuals, grid, array, wavelengths)
+            _interpolated_power(_tabulate(residuals, grid, array, lams))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < M * 30 * 8 / 4
+        T = gridalgos._INTERVALS
+        table = T * 30 * 32 + 15 * (T + 3) * 30 * 8
+        assert peak < table + 2 * M * 8 + (1 << 18)
+        assert peak < M * 30 * 32 / 6
 
     @pytest.mark.parametrize(
         "M, pick",
@@ -290,25 +298,13 @@ def random_residuals(seed, count):
 
 
 class TestParallelScan:
-    """grid_beam_power with the process's CPU set patched to 1, 2 and 3 CPUs."""
+    """grid_beam_power with the process's CPU set patched to 1, 2 and 3 CPUs:
+    the scan runs in the calling thread, with the same values."""
 
     @pytest.fixture(params=[1, 2, 3])
     def cpus(self, request, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
         return request.param
-
-    @staticmethod
-    def scan_shares(monkeypatch):
-        """Record the (lo, hi) row range of every share grid_beam_power scans."""
-        seen = []
-        real = gridalgos._scan_share
-
-        def recording(residuals, tables, rows, lo, hi, step, values):
-            seen.append((lo, hi))
-            return real(residuals, tables, rows, lo, hi, step, values)
-
-        monkeypatch.setattr(gridalgos, "_scan_share", recording)
-        return seen
 
     @pytest.mark.parametrize(
         "M, pick",
@@ -327,15 +323,12 @@ class TestParallelScan:
         residuals = random_residuals(M, len(WIDEBAND))
         rows = None if pick is None else pick(M)
         idx = np.arange(M) if rows is None else rows
-        shares = self.scan_shares(monkeypatch)
+
+        def no_thread(self):
+            raise AssertionError("a scan started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         values = grid_beam_power(residuals, grid, array, wavelengths, rows=rows)
-        # one contiguous share per CPU, none under a full block
-        edges = [lo for lo, _ in sorted(shares)] + [idx.size]
-        assert len(shares) == min(cpus, idx.size // ROWS)
-        assert [hi for _, hi in sorted(shares)] == edges[1:] and edges[0] == 0
-        assert min(np.diff(edges)) >= ROWS
-        # each edge between two shares falls inside a tile of conj(R)
-        assert all(((hi - lo) % ROWS or ROWS) % TILE for lo, hi in sorted(shares)[:-1])
         assert np.array_equal(values, reference_beam_power(residuals, grid, array, wavelengths)[idx])
 
     def test_no_thread_outlives_a_scan(self, cpus):
@@ -347,26 +340,6 @@ class TestParallelScan:
         grid_beam_power(random_residuals(1, 1), grid, array, lams, rows=np.arange(0, 3 * ROWS, 3))
         assert threading.active_count() == before
 
-    def test_worker_exception_reaches_caller(self, cpus, monkeypatch):
-        real = gridalgos._scan_share
-
-        def failing(residuals, tables, rows, lo, hi, step, values):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError(f"share {lo}:{hi} failed")
-            return real(residuals, tables, rows, lo, hi, step, values)
-
-        monkeypatch.setattr(gridalgos, "_scan_share", failing)
-        grid = grid_of_size(3 * ROWS)
-        array = ArrayConfig(10)
-        before = threading.active_count()
-        scan = lambda: grid_beam_power(random_residuals(2, 1), grid, array, (wavelength_for(array, None),))
-        if cpus == 1:
-            scan()  # serial: the calling thread scans every row
-        else:
-            with pytest.raises(RuntimeError, match="failed"):
-                scan()
-        assert threading.active_count() == before
-
 
 # the `linear_grid` fixture's grid, masked corners included; hypothesis tests
 # take no function-scoped fixtures
@@ -374,8 +347,8 @@ SYMMETRIC_GRID = build_grid([("phi", -85, 2, 85), ("alpha1", -5, 0.5, 5)], LINEA
 
 
 def scan_kind(grid, rows):
-    """Which certified scan a `_beam_power32` call serves: the full grid,
-    the coarse lattice or a set of rows."""
+    """Which certified scan an `_interpolated_power` call serves: the full
+    grid, the coarse lattice or a set of rows."""
     if rows is None:
         return "full"
     return "lattice" if np.array_equal(rows, coarse_lattice(grid)) else "rows"
@@ -385,17 +358,17 @@ ALL_SCAN_KINDS = {"full", "lattice", "rows"}
 
 
 def exact_scans(monkeypatch):
-    """Make every complex64 scan return the float64 values with a zero
+    """Make every interpolated scan return the float64 values with a zero
     bound, so the estimators decide as from float64 scans alone. Returns
     the set of `scan_kind`s served, filled as the scans run."""
     served = set()
 
-    def exact(residuals, grid, array, wavelengths, rows=None):
-        served.add(scan_kind(grid, rows))
-        values = grid_beam_power(residuals, grid, array, wavelengths, rows=rows)
+    def exact(table, rows=None):
+        served.add(scan_kind(table.grid, rows))
+        values = grid_beam_power(table.residuals, table.grid, table.array, table.wavelengths, rows=rows)
         return values, np.zeros_like(values)
 
-    monkeypatch.setattr(gridalgos, "_beam_power32", exact)
+    monkeypatch.setattr(gridalgos, "_interpolated_power", exact)
     return served
 
 
@@ -405,18 +378,19 @@ def ends_or_inside(rng, n):
 
 
 def adversarial_scans(monkeypatch):
-    """Move every complex64 value to the end of its bound that hurts: the
-    float64 winners (the local maxima, or the argmax of a set of rows that
-    is no lattice) down, every other row up. Returns the set of
+    """Move every interpolated value to the end of its bound that hurts:
+    the float64 winners (the local maxima, or the argmax of a set of rows
+    that is no lattice) down, every other row up. Returns the set of
     `scan_kind`s served, filled as the scans run."""
-    real = gridalgos._beam_power32
+    real = gridalgos._interpolated_power
     served = set()
 
-    def adversarial(residuals, grid, array, wavelengths, rows=None):
+    def adversarial(table, rows=None):
+        grid = table.grid
         kind = scan_kind(grid, rows)
         served.add(kind)
-        _, bound = real(residuals, grid, array, wavelengths, rows=rows)
-        exact = grid_beam_power(residuals, grid, array, wavelengths, rows=rows)
+        _, bound = real(table, rows=rows)
+        exact = table.rescan(np.arange(grid.size) if rows is None else rows)
         if kind == "full":
             down = local_maxima(exact, grid.shape)
         elif kind == "lattice":
@@ -427,13 +401,13 @@ def adversarial_scans(monkeypatch):
         pushed[down] = exact[down] - bound[down]
         return np.maximum(pushed, 0.0), bound
 
-    monkeypatch.setattr(gridalgos, "_beam_power32", adversarial)
+    monkeypatch.setattr(gridalgos, "_interpolated_power", adversarial)
     return served
 
 
 def decisions(blocks, grid, array, K):
-    """What the complex64 scans decide: tl-omp's estimates, tl-cbf's K + 2
-    peaks with their values, and the first coarse start."""
+    """What the interpolated scans decide: tl-omp's estimates, tl-cbf's
+    K + 2 peaks with their values, and the first coarse start."""
     lams = block_wavelengths(array, blocks)
     omp = [e.params for e in tl_omp(blocks, grid, array, K)[0]]
     peaks = find_peaks(tl_cbf_spectrum(blocks, grid, array), K + 2).entries
@@ -458,8 +432,14 @@ def cert_inputs(N, F, seed, noise, power):
     return array, lams, residuals
 
 
+def interpolated(residuals, grid, array, wavelengths, rows=None):
+    """`_interpolated_power` of one tabulation of the residuals."""
+    return _interpolated_power(_tabulate(residuals, grid, array, wavelengths), rows=rows)
+
+
 class TestCertifiedScan:
-    """`_beam_power32`'s bound, and the decisions made from it."""
+    """The interpolated scan's bound (`_tabulate`, `_interpolated_power`),
+    and the decisions made from it."""
 
     @given(
         N=st.sampled_from([2, 3, 10]),
@@ -471,23 +451,76 @@ class TestCertifiedScan:
     )
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_bound_holds_on_every_row(self, N, F, seed, noise, power, span):
-        # span: a sub-scan from one row to another, mostly inside tiles
+        # span: a sub-scan from one row to another
         array, lams, residuals = cert_inputs(N, F, seed, noise, power)
         rows = None if span is None else np.arange(min(span), max(max(span), min(span) + 1))
-        values, bound = _beam_power32(residuals, SYMMETRIC_GRID, array, lams, rows=rows)
+        values, bound = interpolated(residuals, SYMMETRIC_GRID, array, lams, rows=rows)
         field = grid_beam_power(residuals, SYMMETRIC_GRID, array, lams)
         exact = field if rows is None else field[rows]
         assert np.all(np.isfinite(values)) and np.all(np.isfinite(bound))
         assert np.all(np.abs(values - exact) <= bound)
         # not vacuous: far below the field's peak, which the decisions turn on
-        assert np.max(bound) <= 1e-5 * np.max(field)
+        assert np.max(bound) <= 5e-6 * np.max(field)
         mask = nonphysical_mask(SYMMETRIC_GRID, 30)
         masked = mask if rows is None else mask[rows]
         assert np.all(values[masked] == 0.0) and np.all(bound[masked] == 0.0)
 
     def test_zero_residual_is_exact(self, array):
-        values, bound = _beam_power32([np.zeros((10, 30), complex)], SYMMETRIC_GRID, array, (wavelength_for(array, None),))
+        values, bound = interpolated([np.zeros((10, 30), complex)], SYMMETRIC_GRID, array, (wavelength_for(array, None),))
         assert np.all(values == 0.0) and np.all(bound == 0.0)
+
+    @pytest.mark.parametrize("F", [1, 7])
+    def test_zero_snapshot_is_exact(self, F):
+        """A snapshot that is zero at every frequency adds exactly 0 to
+        every row, with bound 0: its cubics are 0, and the rows equal those
+        of the other snapshots alone."""
+        array, lams, residuals = cert_inputs(10, F, 3, 1.0, 0)
+        for R in residuals:
+            R[:, 4] = 0.0
+        table = _tabulate(residuals, SYMMETRIC_GRID, array, lams)
+        assert table.snapshot_bounds[4] == 0.0 and np.all(table.snapshot_bounds[np.arange(30) != 4] > 0)
+        assert np.all(table.coeffs[4::30] == 0.0)
+        assert table.bound == pytest.approx(table.snapshot_bounds.sum() / 30, rel=1e-12)
+        values, bound = _interpolated_power(table)
+        exact = grid_beam_power(residuals, SYMMETRIC_GRID, array, lams)
+        assert np.all(np.abs(values - exact) <= bound)
+
+    def test_one_tabulation_per_residual_set(self, monkeypatch, four_sources):
+        """tl-cbf and each coarse start tabulate their residual once, tl-omp
+        once per source; the lattice scan, the neighborhood argmax and every
+        rescan reuse that table."""
+        freqs = WIDEBAND
+        array = ArrayConfig.for_frequencies(10, freqs)
+        blocks, _ = synthesize_block(four_sources, array, 30, 5.0, freqs, seed=603)
+        lams = block_wavelengths(array, blocks)
+        made = []
+        real = gridalgos._tabulate
+
+        def counting(residuals, *args):
+            table = real(residuals, *args)
+            made.append(table)
+            return table
+
+        scans = []
+        real_scan = gridalgos._interpolated_power
+
+        def recording(table, rows=None):
+            scans.append(table)
+            return real_scan(table, rows=rows)
+
+        monkeypatch.setattr(gridalgos, "_tabulate", counting)
+        monkeypatch.setattr(gridalgos, "_interpolated_power", recording)
+        _coarse_start([b.data for b in blocks], SYMMETRIC_GRID, array, lams, [])
+        assert len(made) == 1 and scans == [made[0]] * 2
+        made.clear(), scans.clear()
+        tl_omp(blocks, SYMMETRIC_GRID, array, 3)
+        assert len(made) == 3 and scans == made
+        made.clear(), scans.clear()
+        tl_cbf_spectrum(blocks, SYMMETRIC_GRID, array)
+        assert len(made) == 1 and scans == made
+        made.clear()
+        tl_sfw(blocks, SYMMETRIC_GRID, array, 2)
+        assert len(made) == 2  # one coarse start per source
 
     @pytest.mark.parametrize("freqs", [None, WIDEBAND])
     def test_adversarial_values_keep_decisions(self, monkeypatch, four_sources, freqs):
@@ -503,8 +536,8 @@ class TestCertifiedScan:
     def test_near_tie_of_equal_power_sources(self, monkeypatch, array, excess):
         """Two sources at mirror points, the second of amplitude 1 + excess.
         At excess 0 the data are real, so the beam powers of mirror points
-        tie exactly; otherwise they differ by less than the complex64 scan
-        can resolve. The rescore keeps the float64 choice and order."""
+        tie exactly; otherwise they differ by less than the interpolated
+        scan can resolve. The rescore keeps the float64 choice and order."""
         pair = [TrajectoryParams(LINEAR, -41.0, (1.5,)), TrajectoryParams(LINEAR, 41.0, (-1.5,))]
         lam = wavelength_for(array, None)
         a, b = (trajectory_steering_matrix(p, array, 30, lam) for p in pair)
@@ -514,9 +547,10 @@ class TestCertifiedScan:
         j = SYMMETRIC_GRID.size - 1 - i  # the mirror point (-phi, -alpha)
         assert (exact[i] == exact[j]) == (excess == 0.0)
         assert exact[j] == pytest.approx(exact[i], rel=1e-6)
-        values, bound = _beam_power32([Y], SYMMETRIC_GRID, array, (lam,))
+        table = _tabulate([Y], SYMMETRIC_GRID, array, (lam,))
+        values, bound = _interpolated_power(table)
         assert abs(values[i] - values[j]) <= bound[i] + bound[j]
-        assert _beam_argmax([Y], SYMMETRIC_GRID, array, (lam,)) == i
+        assert _beam_argmax(table) == i
         blocks = [ObservationBlock(Y, None)]
         got = decisions(blocks, SYMMETRIC_GRID, array, 2)
         assert [p for p, _ in got[1][:2]] == [grid_point(SYMMETRIC_GRID, i), grid_point(SYMMETRIC_GRID, j)]
@@ -565,21 +599,23 @@ class TestCertifiedScan:
         values = exact + bound * ends_or_inside(rng, exact.size)
         rows = np.flatnonzero(rng.random(exact.size) < 0.1) if sub else None
         picked = slice(None) if rows is None else rows
-        with mock.patch.object(gridalgos, "_beam_power32", lambda *a, rows: (values[picked].copy(), bound[picked])):
+        table = _BeamTable(None, SYMMETRIC_GRID, None, None, None, None, 1.0, None)
+        with mock.patch.object(gridalgos, "_interpolated_power", lambda table, rows: (values[picked].copy(), bound[picked])):
             with mock.patch.object(gridalgos, "grid_beam_power", lambda *a, rows: exact[rows]):
-                got = _beam_argmax(None, SYMMETRIC_GRID, None, None, rows)
+                got = _beam_argmax(table, rows)
         assert got == (int(np.argmax(exact)) if rows is None else int(rows[np.argmax(exact[rows])]))
 
     @pytest.mark.parametrize("power", [120, -120])
     def test_extreme_scales_decide_as_float64(self, monkeypatch, four_sources, power):
-        """Data scaled by 2^+-120, beyond the range of float32 squares: the
-        decisions are those of the float64 scans, and of the unscaled data."""
+        """Data scaled by 2^+-120, whose squares leave the range of float32:
+        the decisions are those of the float64 scans, and of the unscaled
+        data."""
         freqs = WIDEBAND
         array = ArrayConfig.for_frequencies(10, freqs)
         blocks, _ = synthesize_block(four_sources, array, 30, 5.0, freqs, seed=602)
         scaled = [ObservationBlock(np.ldexp(b.data.real, power) + 1j * np.ldexp(b.data.imag, power), b.frequency) for b in blocks]
         lams = block_wavelengths(array, scaled)
-        values, bound = _beam_power32([b.data for b in scaled], SYMMETRIC_GRID, array, lams)
+        values, bound = interpolated([b.data for b in scaled], SYMMETRIC_GRID, array, lams)
         assert np.all(np.isfinite(values)) and np.all(np.isfinite(bound)) and np.max(values) > 0
         omp, peaks, start = decisions(scaled, SYMMETRIC_GRID, array, 4)
         plain = decisions(blocks, SYMMETRIC_GRID, array, 4)
@@ -621,7 +657,7 @@ class TestCbfSpectrum:
         both = grid_beam_power([b.data for b in blocks], linear_grid, arr, lams)
         single = [grid_beam_power([b.data], linear_grid, arr, (lam,)) for b, lam in zip(blocks, lams)]
         np.testing.assert_allclose(both, single[0] + single[1], rtol=1e-12)
-        # the complex64 spectra hold these float64 values as their contract says
+        # the interpolated spectra hold these float64 values as their contract says
         assert_settled(tl_cbf_spectrum(blocks, linear_grid, arr).values, both, linear_grid.shape)
         for b, values in zip(blocks, single):
             assert_settled(tl_cbf_spectrum([b], linear_grid, arr).values, values, linear_grid.shape)

@@ -12,6 +12,7 @@ from trajloc.grids import (
     param_matrix,
     phase_rows,
     phase_table,
+    sine_positions,
 )
 from trajloc.harness import WIDEBAND_SETS
 from trajloc.model import DEG, _phase_scale, wavelength_for
@@ -193,3 +194,30 @@ class TestPhaseRows:
             assert table.dtype == np.complex64 and not table.flags.writeable
             assert np.array_equal(table, whole_table(linear_grid, 30, scale).astype(np.complex64))
             assert phase_table(linear_grid, 30, scale) is table
+
+
+class TestSinePositions:
+    @pytest.mark.parametrize("grid", ["linear", "quadratic", "end-fire"])
+    def test_positions_place_each_sine(self, linear_grid, grid):
+        """x = -1 + (i + t) h lies within h 2^-25 + 2^-51 of the sine the
+        float64 scans see, with i the interval and l the snapshot folded
+        into i * L + l; x = +-1 falls at the ends of the end intervals."""
+        grid = {
+            "linear": linear_grid,
+            "quadratic": QUADRATIC_GRID,
+            "end-fire": build_grid([("phi", -90, 180, 90), ("alpha1", 0, 1, 0)], TrajectoryModel.polynomial(1)),
+        }[grid]
+        L, T = 30, 512
+        cell, t = sine_positions(grid, L, T)
+        assert sine_positions(grid, L, T)[0] is cell
+        assert (cell.dtype, t.dtype) == (np.int32, np.float32)  # 8 bytes per entry
+        assert cell.shape == t.shape == (grid.size, L)
+        assert not cell.flags.writeable and not t.flags.writeable
+        i, l = np.divmod(cell.astype(int), L)
+        assert np.array_equal(l, np.broadcast_to(np.arange(L), cell.shape))
+        assert 0 <= i.min() and i.max() < T and 0 <= t.min() and t.max() <= 1
+        h = 2.0 / T
+        x = np.sin(doa_table(grid, L) * DEG)
+        assert np.all(np.abs(-1.0 + (i + t.astype(float)) * h - x) <= h * 2.0**-25 + 2.0**-51)
+        if grid.size == 2:
+            assert np.all(i[0] == 0) and np.all(t[0] == 0) and np.all(i[1] == T - 1) and np.all(t[1] == 1)

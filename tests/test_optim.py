@@ -89,7 +89,7 @@ class TestObjective:
         blocks, _ = synthesize_block(four_sources, array, 30, 5.0, seed=21)
         spec = tl_cbf_spectrum(blocks, linear_grid, array)
         lams = block_wavelengths(array, blocks)
-        # the float64 scan agrees to rounding; the complex64 spectrum is
+        # the float64 scan agrees to rounding; the interpolated spectrum is
         # within 1e-5 of its largest value (`Spectrum`)
         scan = grid_beam_power([blocks[0].data], linear_grid, array, lams)
         rng = np.random.default_rng(0)
