@@ -60,6 +60,7 @@ from .model import (
     ArrayConfig,
     TrajectoryParams,
     _phase_scale,
+    _phase_scales,
     block_wavelengths,
     trajectory_steering_matrix,  # noqa: F401 -- module attribute that perfbench's tracer rebinds
 )
@@ -111,9 +112,11 @@ class PeakSet:
         return [p for p, _ in self.entries]
 
 
-def _check_blocks(blocks, array: ArrayConfig, K: int | None = None) -> tuple[float, ...]:
+def _check_blocks(blocks, array: ArrayConfig, K: int | None = None):
     """Refuse malformed blocks, and a source count K below 1 where one is
-    sought; return the blocks' processing wavelengths."""
+    sought; return the blocks' data as one complex (F, N, L) array, which
+    every estimator carries as its residual, and their processing
+    wavelengths."""
     if K is not None and K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if not blocks:
@@ -126,7 +129,7 @@ def _check_blocks(blocks, array: ArrayConfig, K: int | None = None) -> tuple[flo
         raise ValueError(
             f"blocks have {N} sensor rows but the array has {array.n_sensors} sensors"
         )
-    return block_wavelengths(array, blocks)
+    return np.stack([b.data for b in blocks]), block_wavelengths(array, blocks)
 
 
 SBL_TOL = 1e-3  # TL-SBL's stop: largest gamma change / largest gamma
@@ -308,7 +311,7 @@ class _BeamTable:
     pages back and fault them in again, some 200 page faults per `tl_omp`
     call at F = 1. So a table serves one thread."""
 
-    residuals: list
+    residuals: np.ndarray
     grid: ParamGrid
     array: ArrayConfig
     wavelengths: tuple
@@ -367,8 +370,8 @@ def _tabulate(residuals, grid: ParamGrid, array: ArrayConfig, wavelengths) -> _B
     size = _INTERVALS * L * 4
     store = np.empty(size + max((2 * F + 1) * K * L, 6 * _eval_rows(L) * L))
     coeffs, scratch = store[:size], store[size:]
-    scales = np.array([_phase_scale(array, lam) for lam in wavelengths])
-    R = np.stack(residuals)  # (F, N, L)
+    scales = _phase_scales(array, tuple(wavelengths))
+    R = np.asarray(residuals)  # (F, N, L)
     parts = scratch[: 2 * F * K * L].reshape(F, 2 * K, L)
     power = scratch[2 * F * K * L : (2 * F + 1) * K * L].reshape(K, L)
     np.matmul(_node_matrix(tuple(scales), N), np.concatenate([R.real, R.imag], axis=1), out=parts)
@@ -388,7 +391,7 @@ def _tabulate(residuals, grid: ParamGrid, array: ArrayConfig, wavelengths) -> _B
     np.matmul(sliding_window_view(power, 4, axis=0), _CUBIC.T, out=coeffs.reshape(_INTERVALS, L, 4))
     bound = float(snapshot_bounds.sum()) / L + ((4 * F + 16) * _TINY if a.any() else 0.0)
     return _BeamTable(
-        list(residuals), grid, array, tuple(wavelengths),
+        R, grid, array, tuple(wavelengths),
         coeffs.reshape(-1, 4), snapshot_bounds, bound, scratch,
     )
 
@@ -507,8 +510,8 @@ def tl_cbf_spectrum(blocks, grid: ParamGrid, array: ArrayConfig) -> Spectrum:
     bound. So `find_peaks` returns the float64 scan's peaks, values and
     order.
     """
-    wavelengths = _check_blocks(blocks, array)
-    table = _tabulate([b.data for b in blocks], grid, array, wavelengths)
+    Y, wavelengths = _check_blocks(blocks, array)
+    table = _tabulate(Y, grid, array, wavelengths)
     values, _ = _scan_maxima(table, None, grid.shape, ranked=True)
     return Spectrum(grid, values)
 
@@ -604,8 +607,7 @@ def tl_omp(blocks, grid: ParamGrid, array: ArrayConfig, K: int):
     Returns (list of SourceEstimate, residual Frobenius norm after each
     iteration).
     """
-    wavelengths = _check_blocks(blocks, array, K)
-    residuals = [b.data for b in blocks]
+    residuals, wavelengths = _check_blocks(blocks, array, K)
     selected: list[TrajectoryParams] = []
     norms: list[float] = []
     for _ in range(K):
@@ -679,7 +681,7 @@ def tl_sbl(
         )
     if len(blocks) != 1:
         raise ValueError("TL-SBL is narrowband: pass exactly one block")
-    (lam,) = _check_blocks(blocks, array, K)
+    _, (lam,) = _check_blocks(blocks, array, K)
     N, L = blocks[0].data.shape
     M = grid.size
 

@@ -93,10 +93,9 @@ def tl_sfw(
 
     Returns (list of K SourceEstimate, RunTrace).
     """
-    wavelengths = _check_blocks(blocks, array, K)
+    residuals, wavelengths = _check_blocks(blocks, array, K)
     bounds = Bounds.from_grid(grid)
     trace = RunTrace()
-    residuals = [b.data for b in blocks]
     W: list[TrajectoryParams] = []
     for k in range(1, K + 1):
         with trace.timed("coarse"):
@@ -106,7 +105,7 @@ def tl_sfw(
             trace.refinements += report.iterations
             W.append(omega)
         with trace.timed("joint"):
-            # X: per-frequency (k, L); residuals: the data projected away from W
+            # X: (F, k, L); residuals: the data projected away from W
             W, X, report, residuals = joint_refine(W, blocks, array, bounds)
             trace.refinements += report.iterations
             trace.fit_history.append((f"joint[{k}]", report.final_objective))
@@ -136,16 +135,15 @@ def tl_nomp(
 
     Returns (list of K SourceEstimate, RunTrace).
     """
-    wavelengths = _check_blocks(blocks, array, K)
+    Y, wavelengths = _check_blocks(blocks, array, K)
     bounds = Bounds.from_grid(grid)
-    Y = [b.data for b in blocks]
     trace = RunTrace()
 
     def refit(omega, R):
         """Steps (ii) and (iii) for one source: one Newton step of ``omega``
         against the residual R it is held out of, then its matched-filter
-        fit to R. Returns (omega, its per-frequency steering stacks and
-        amplitudes, R minus the fit)."""
+        fit to R. Returns (omega, its (F, 1, N, L) steering stack and
+        (F, 1, L) amplitudes, R minus the fit)."""
         omega, used = newton_step(omega, R, array, wavelengths, bounds)
         trace.refinements += 1
         trace.gradient_fallbacks += not used
@@ -153,7 +151,7 @@ def tl_nomp(
 
     R = Y  # Y minus the fit of W
     W: list[TrajectoryParams] = []
-    A, X = [], []  # per frequency, W's (k, N, L) steering stack and (k, L) amplitudes
+    A = X = None  # W's (F, k, N, L) steering stack and (F, k, L) amplitudes
     tol = CYCLIC_RTOL * residual_energy(Y)
     for k in range(1, K + 1):
         with trace.timed("coarse"):
@@ -161,16 +159,14 @@ def tl_nomp(
         with trace.timed("newton"):
             omega, A_new, x_new, R = refit(omega, R)
             W.append(omega)
-            A = [np.concatenate(p) for p in zip(A, A_new)] if A else A_new
-            X = [np.concatenate(p) for p in zip(X, x_new)] if X else x_new
+            A = A_new if k == 1 else np.concatenate([A, A_new], axis=1)
+            X = x_new if k == 1 else np.concatenate([X, x_new], axis=1)
         with trace.timed("cyclic"):
             before = residual_energy(R)
             for cycle in range(1, MAX_CYCLES + 1):
                 for i in range(len(W)):
-                    R_hat = [Rf + Af[i] * Xf[i] for Rf, Af, Xf in zip(R, A, X)]
-                    W[i], A_i, x_i, R = refit(W[i], R_hat)
-                    for Af, Xf, a, x in zip(A, X, A_i, x_i):
-                        Af[i], Xf[i] = a[0], x[0]
+                    R_hat = R + A[:, i] * X[:, i, None, :]
+                    W[i], A[:, i : i + 1], X[:, i : i + 1], R = refit(W[i], R_hat)
                 after = residual_energy(R)
                 trace.fit_history.append((f"cycle[{k}.{cycle}]", after))
                 if abs(before - after) <= tol:

@@ -191,6 +191,17 @@ def _phase_scale(array: ArrayConfig, wavelength: float) -> float:
     return 2.0 * np.pi * array.spacing / wavelength
 
 
+@lru_cache(maxsize=16)
+def _phase_scales(array: ArrayConfig, wavelengths: tuple) -> np.ndarray:
+    """Read-only (F,) vector of `_phase_scale` at each wavelength, built once
+    per (array, wavelengths) so the frequency-stacked kernels share it."""
+    if not all(lam > 0 for lam in wavelengths):
+        raise ValueError(f"wavelengths must be positive, got {list(wavelengths)}")
+    scales = np.array([_phase_scale(array, lam) for lam in wavelengths], dtype=float)
+    scales.setflags(write=False)
+    return scales
+
+
 def steering_vector(theta: float, array: ArrayConfig, wavelength: float) -> np.ndarray:
     """Far-field ULA steering vector at DOA ``theta`` degrees.
 

@@ -10,11 +10,12 @@ index), which keeps the chain rule short: all derivatives reduce to weighted
 sensor-index moments of ``conj(a) * r``.
 
 Everything here works in degrees at the interface and is purely functional;
-callers pass one residual matrix and one wavelength per frequency.
+callers pass one complex (F, N, L) residual array and the F wavelengths, and
+each kernel runs over all frequencies at once (`_frequency_sum`).
 
-`project_all` is the one per-frequency least-squares fit: the steering
-stacks of the selected trajectories, every snapshot fitted in their span,
-and the amplitudes and residuals. TL-OMP, TL-NOMP, `amplitudes_ls` and the
+`project_all` is the one least-squares fit: the (F, k, N, L) steering stack
+of the selected trajectories, every snapshot fitted in their span, and the
+amplitudes and residuals. TL-OMP, TL-NOMP, `amplitudes_ls` and the
 variable-projection `joint_refine` all call it. Its residual comes from
 `model_residuals`, the one subtraction of a fit from the data.
 
@@ -47,11 +48,12 @@ from .model import (
     ArrayConfig,
     SourceEstimate,
     TrajectoryParams,
-    _phase_scale,
+    _phase_scale,  # noqa: F401 -- module attribute that perfbench's workload setup reads
+    _phase_scales,
     block_wavelengths,
     doa_map,
     doas,
-    trajectory_steering_matrix,
+    trajectory_steering_matrix,  # noqa: F401 -- module attribute that perfbench's tracer rebinds
 )
 
 ARMIJO = 1e-4
@@ -124,53 +126,65 @@ def _physical(T: np.ndarray):
     return lambda u: np.abs(u.reshape(-1, len(T)) @ T).max() < 90.0
 
 
-def _moments(theta_deg: np.ndarray, residual: np.ndarray, cf: float, orders: int):
-    """Sensor-index moments m_k[l] = sum_n n^k conj(a_n(theta_l)) r_nl
-    for k = 0..orders. Returns a list of length-L complex vectors."""
-    n = np.arange(residual.shape[0], dtype=float)
-    phase = cf * np.sin(theta_deg * DEG)
+def _frequency_stack(residuals, array: ArrayConfig, wavelengths):
+    """The (F, N, L) residual array and its (F,) phase scales, refusing a
+    residual count that differs from the wavelength count."""
+    R = np.asarray(residuals)
+    scales = _phase_scales(array, tuple(wavelengths))
+    if R.ndim != 3 or len(R) != len(scales):
+        raise ValueError(
+            f"{len(R)} frequencies of residuals but {len(scales)} wavelengths (shape {R.shape})"
+        )
+    return R, scales
+
+
+def _frequency_sum(terms):
+    """Sum over the leading axis in frequency order, as a loop would add."""
+    return np.add.accumulate(terms)[-1]
+
+
+def _moments(sin_theta: np.ndarray, residuals: np.ndarray, scales: np.ndarray, orders: int):
+    """Sensor-index moments m_k[f, l] = sum_n n^k conj(a_fn(theta_l)) r_fnl
+    of an (F, N, L) residual for k = 0..orders, given sin(theta_l). Returns
+    a list of (F, L) complex arrays."""
+    n = np.arange(residuals.shape[1], dtype=float)
+    phase = scales[:, None] * sin_theta  # (F, L)
     # conj(a) entries without forming a separately
-    B = np.exp(-1j * np.outer(n, phase)) * residual
-    out = [B.sum(axis=0)]
+    B = np.exp(-1j * (n[:, None] * phase[:, None, :])) * residuals
+    out = [B.sum(axis=1)]
     for k in range(1, orders + 1):
-        out.append((n[:, None] ** k * B).sum(axis=0))
+        out.append((n[:, None] ** k * B).sum(axis=1))
     return out
 
 
 def objective(params: TrajectoryParams, residuals, array: ArrayConfig, wavelengths) -> float:
-    """Beam power of one trajectory against per-frequency residual matrices."""
-    L = residuals[0].shape[1]
-    theta = doas(params, L)
-    total = 0.0
-    for R, lam in zip(residuals, wavelengths):
-        (z0,) = _moments(theta, R, _phase_scale(array, lam), 0)
-        total += float(np.sum(np.abs(z0) ** 2))
-    return total / L
+    """Beam power of one trajectory against the (F, N, L) residuals."""
+    R, scales = _frequency_stack(residuals, array, wavelengths)
+    L = R.shape[2]
+    (z0,) = _moments(np.sin(doas(params, L) * DEG), R, scales, 0)
+    return float(_frequency_sum(np.sum(np.abs(z0) ** 2, axis=1))) / L
 
 
 def _value_grad_hess(params: TrajectoryParams, residuals, array: ArrayConfig, wavelengths):
     """(`objective`, gradient, Hessian) from one pass of moments; the value
     is summed exactly as `objective` sums it, so the two are bit-identical."""
-    L = residuals[0].shape[1]
+    R, scales = _frequency_stack(residuals, array, wavelengths)
+    L = R.shape[2]
     theta = doas(params, L)
     T = doa_map(params.model, L)  # rows: d theta_l / d parameter
-    cos_t = np.cos(theta * DEG)
-    sin_t = np.sin(theta * DEG)
-    D = T.shape[0]
-    total = 0.0
-    g = np.zeros(D)
-    H = np.zeros((D, D))
-    for R, lam in zip(residuals, wavelengths):
-        cf = _phase_scale(array, lam)
-        z0, z1, z2 = _moments(theta, R, cf, 2)
-        total += float(np.sum(np.abs(z0) ** 2))
-        dz = -1j * cf * DEG * cos_t * z1
-        d2z = 1j * cf * DEG**2 * sin_t * z1 - (cf * DEG * cos_t) ** 2 * z2
-        dF = 2.0 * np.real(np.conj(z0) * dz)
-        d2F = 2.0 * (np.abs(dz) ** 2 + np.real(np.conj(z0) * d2z))
-        g += T @ dF
-        H += (T * d2F) @ T.T
-    return total / L, g / L, H / L
+    rad = theta * DEG
+    sin_t = np.sin(rad)
+    cf = scales[:, None]
+    z0, z1, z2 = _moments(sin_t, R, scales, 2)
+    w = cf * DEG * np.cos(rad)  # d phase / d theta (degrees), per sensor index
+    dz = -1j * w * z1
+    d2z = 1j * (cf * DEG**2 * sin_t) * z1 - w**2 * z2
+    dF = 2.0 * np.real(np.conj(z0) * dz)
+    d2F = 2.0 * (np.abs(dz) ** 2 + np.real(np.conj(z0) * d2z))
+    total = _frequency_sum(np.sum(np.abs(z0) ** 2, axis=1))
+    g = _frequency_sum((T @ dF[:, :, None])[:, :, 0])
+    H = _frequency_sum((T * d2F[:, None, :]) @ T.T)
+    return float(total) / L, g / L, H / L
 
 
 def objective_grad_hess(params: TrajectoryParams, residuals, array: ArrayConfig, wavelengths):
@@ -187,81 +201,87 @@ def objective_grad_hess(params: TrajectoryParams, residuals, array: ArrayConfig,
 def batched_snapshot_ls(A: np.ndarray, Y: np.ndarray):
     """Least-squares coefficients of every snapshot of Y in its steering set.
 
-    ``A`` is a (k, N, L) stack of trajectory steering matrices and ``Y`` is
-    (N, L), or (N, L, m) for m right-hand sides per snapshot; solves the
-    N x k system at each snapshot via the normal equations, falling back to
-    a tolerance-thresholded pseudo-inverse where the steering set is rank
-    deficient. Returns ((L, k) coefficients, or (L, k, m), deficient flag).
+    ``A`` is an (F, k, N, L) stack of trajectory steering matrices and ``Y``
+    is (F, N, L), or (F, N, L, m) for m right-hand sides per snapshot; solves
+    the N x k system at each (f, l) via the normal equations, falling back to
+    a tolerance-thresholded pseudo-inverse at each (f, l) where the steering
+    set is rank deficient. Returns ((F, L, k) coefficients, or (F, L, k, m),
+    deficient flag).
     """
-    k, N, L = A.shape
+    F, k, N, L = A.shape
     if k == 1:
         # a^H a = N for unit-modulus steering entries
-        a = np.conj(A[0]).reshape((N, L) + (1,) * (Y.ndim - 2))
-        x = (a * Y).sum(axis=0) / N
-        return x[:, None], False
-    G = np.einsum("inl,jnl->lij", np.conj(A), A)  # (L, k, k) Gram matrices
-    b = np.einsum("inl,nl...->li...", np.conj(A), Y)  # (L, k) or (L, k, m)
+        a = np.conj(A[:, 0]).reshape((F, N, L) + (1,) * (Y.ndim - 3))
+        x = (a * Y).sum(axis=1) / N
+        return x[:, :, None], False
+    G = np.einsum("finl,fjnl->flij", np.conj(A), A)  # (F, L, k, k) Gram matrices
+    b = np.einsum("finl,fnl...->fli...", np.conj(A), Y)  # (F, L, k) or (F, L, k, m)
     w = np.linalg.eigvalsh(G)
-    bad = w[:, 0] < 1e-10 * np.maximum(w[:, -1], 1.0)
+    bad = w[..., 0] < 1e-10 * np.maximum(w[..., -1], 1.0)
     X = np.empty(b.shape, dtype=complex)
     good = ~bad
     if good.any():
         bg = b[good]  # all m right-hand sides share one factorization
         X[good] = np.linalg.solve(G[good], bg.reshape(len(bg), k, -1)).reshape(bg.shape)
-    for l in np.nonzero(bad)[0]:
-        X[l] = np.linalg.pinv(A[:, :, l].T, rcond=1e-10) @ Y[:, l]
+    for f, l in zip(*np.nonzero(bad)):
+        X[f, l] = np.linalg.pinv(A[f, :, :, l].T, rcond=1e-10) @ Y[f, :, l]
     return X, bool(bad.any())
 
 
-def steering_stack(trajectories, array: ArrayConfig, L: int, wavelength: float) -> np.ndarray:
-    """(k, N, L) stack of the trajectories' steering matrices at one wavelength,
-    the operand of every per-snapshot fit below."""
-    return np.stack([trajectory_steering_matrix(t, array, L, wavelength) for t in trajectories])
+def steering_stack(trajectories, array: ArrayConfig, L: int, wavelengths) -> np.ndarray:
+    """(F, k, N, L) stack of the trajectories' steering matrices at every
+    wavelength from one `exp`, the operand of every per-snapshot fit below;
+    slice (f, i) is `trajectory_steering_matrix`'s, bit for bit."""
+    scales = _phase_scales(array, tuple(wavelengths))
+    sines = np.sin(np.stack([doas(t, L) for t in trajectories]) * DEG)  # (k, L)
+    phase = scales[:, None, None] * sines  # (F, k, L)
+    return np.exp(1j * np.arange(array.n_sensors)[:, None] * phase[:, :, None, :])
 
 
 def model_residuals(A: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The one subtraction Y - sum_i A_i diag(x_i) at one frequency: ``A`` is
-    a (k, N, L) steering stack the caller already holds, ``X`` its (k, L)
-    amplitudes and ``Y`` the (N, L) data, or (k, L, m) and (N, L, m) for m
-    right-hand sides per snapshot. Builds no steering matrix."""
-    return Y - np.einsum("inl,il...->nl...", A, X)
+    """The one subtraction Y - sum_i A_i diag(x_i) at every frequency: ``A``
+    is an (F, k, N, L) steering stack the caller already holds, ``X`` its
+    (F, k, L) amplitudes and ``Y`` the (F, N, L) data, or (F, k, L, m) and
+    (F, N, L, m) for m right-hand sides per snapshot. Builds no steering
+    matrix."""
+    return Y - np.einsum("finl,fil...->fnl...", A, X)
 
 
 def project_out(A: np.ndarray, Y: np.ndarray):
     """Orthogonal-projection residual of Y against the steering stack A.
 
-    Fits every snapshot of Y, (N, L) or (N, L, m), in the span of its k
-    steering vectors (`batched_snapshot_ls`) and subtracts the fit. Returns
-    ((k, L) or (k, L, m) amplitudes, residual shaped like Y, deficient flag).
+    Fits every snapshot of Y, (F, N, L) or (F, N, L, m), in the span of its
+    k steering vectors (`batched_snapshot_ls`) and subtracts the fit.
+    Returns ((F, k, L) or (F, k, L, m) amplitudes, residual shaped like Y,
+    deficient flag).
     """
     X, bad = batched_snapshot_ls(A, Y)
-    X = X.swapaxes(0, 1).copy()
+    X = X.swapaxes(1, 2).copy()
     return X, model_residuals(A, X, Y), bad
 
 
 def project_all(trajectories, data, array: ArrayConfig, wavelengths):
-    """The one per-frequency least-squares fit: `project_out` of each
-    frequency's data matrix against the trajectories' (k, N, L) steering
-    stack. A rank-deficient fit at any frequency raises one
-    `NumericsWarning` per call. Returns per-frequency lists (stacks, (k, L)
-    amplitudes, residuals)."""
-    L = data[0].shape[1]
-    stacks = [steering_stack(trajectories, array, L, lam) for lam in wavelengths]
-    X, R, bad = zip(*(project_out(A, Y) for A, Y in zip(stacks, data)))
-    if any(bad):
+    """The one least-squares fit: `project_out` of the (F, N, L) data against
+    the trajectories' (F, k, N, L) steering stack. A rank-deficient fit at
+    any (f, l) raises one `NumericsWarning` per call. Returns (stack,
+    (F, k, L) amplitudes, (F, N, L) residuals)."""
+    Y, _ = _frequency_stack(data, array, wavelengths)
+    A = steering_stack(trajectories, array, Y.shape[2], wavelengths)
+    X, R, bad = project_out(A, Y)
+    if bad:
         warnings.warn(
             "steering vectors nearly coincide at some snapshots; "
             "least squares used the minimum-norm solution",
             NumericsWarning,
             stacklevel=2,
         )
-    return stacks, list(X), list(R)
+    return A, X, R
 
 
 def source_estimates(trajectories, amplitudes) -> list[SourceEstimate]:
-    """One `SourceEstimate` per trajectory, from the per-frequency (k, L)
-    amplitudes of a fit such as `project_all`'s."""
-    return [SourceEstimate(t, tuple(X[i] for X in amplitudes)) for i, t in enumerate(trajectories)]
+    """One `SourceEstimate` per trajectory, from the (F, k, L) amplitudes of
+    a fit such as `project_all`'s."""
+    return [SourceEstimate(t, tuple(amplitudes[:, i])) for i, t in enumerate(trajectories)]
 
 
 def amplitudes_ls(trajectories, blocks, array: ArrayConfig):
@@ -273,7 +293,7 @@ def amplitudes_ls(trajectories, blocks, array: ArrayConfig):
     coincide (rank-deficient steering set) fall back to the minimum-norm
     pseudo-inverse solution and raise a `NumericsWarning`.
 
-    Returns one (k, L) complex array per frequency.
+    Returns the (F, k, L) complex amplitudes.
     """
     trajectories = list(trajectories)
     if len(trajectories) < 1:
@@ -327,14 +347,13 @@ def _projected_newton(u, g, H, bounds):
     return d, HF
 
 
-def _descend(value, direction, u, bounds, physical, max_iters):
+def _descend(value, direction, u, E, bounds, physical, max_iters):
     """The one descent loop of every local search; an ascent passes its
-    negated objective. Each pass backtracks along ``direction(u) -> (gradient,
-    direction)``, so the value never rises. Stops once a step is shorter than
-    `STEP_TOL`, which includes a search that found no step predicting a change
-    beyond the rounding floor, or after ``max_iters`` passes. Returns (point,
-    OptimReport)."""
-    E = value(u)
+    negated objective. Starting at u, whose value E the caller has, each pass
+    backtracks along ``direction(u) -> (gradient, direction)``, so the value
+    never rises. Stops once a step is shorter than `STEP_TOL`, which includes
+    a search that found no step predicting a change beyond the rounding
+    floor, or after ``max_iters`` passes. Returns (point, OptimReport)."""
     step_norms = []
     objectives = []
     for _ in range(max_iters):
@@ -364,15 +383,20 @@ def maximize_local(
     direction (`_projected_newton`) whenever the reduced Hessian of the free
     coordinates is negative definite (so the quadratic model has a maximum),
     and along the gradient otherwise; the box clips every candidate, and the
-    returned objective is never below the starting one.
+    returned objective is never below the starting one. The starting
+    objective comes with the first pass's gradient and Hessian.
     """
     model = omega0.model
-    u = bounds.clip(omega0.vector())
+    start = bounds.clip(omega0.vector())
     physical = _physical(doa_map(model, residuals[0].shape[1]))
     loss = lambda v: -objective(TrajectoryParams.from_vector(model, v), residuals, array, wavelengths)
+    J0, *first = _value_grad_hess(
+        TrajectoryParams.from_vector(model, start), residuals, array, wavelengths
+    )
 
     def newton_or_gradient(u):
-        g, H = objective_grad_hess(
+        # the first pass is at the start, whose gradient and Hessian came with J0
+        g, H = first if u is start else objective_grad_hess(
             TrajectoryParams.from_vector(model, u), residuals, array, wavelengths
         )
         try:
@@ -382,7 +406,7 @@ def maximize_local(
         except np.linalg.LinAlgError:
             return -g, g
 
-    u, report = _descend(loss, newton_or_gradient, u, bounds, physical, LOCAL_MAX_ITERS)
+    u, report = _descend(loss, newton_or_gradient, start, -J0, bounds, physical, LOCAL_MAX_ITERS)
     objectives = tuple(-o for o in report.objectives)
     report = replace(report, final_objective=-report.final_objective, objectives=objectives)
     return TrajectoryParams.from_vector(model, u), report
@@ -440,8 +464,8 @@ def newton_step(
 
 
 def residual_energy(residuals) -> float:
-    """Squared Frobenius norm of a set of residual matrices, summed."""
-    return float(sum(np.sum(R.real**2 + R.imag**2) for R in residuals))
+    """Squared Frobenius norm of (F, N, L) residuals, frequency by frequency."""
+    return float(_frequency_sum(np.sum(residuals.real**2 + residuals.imag**2, axis=(1, 2))))
 
 
 def joint_refine(
@@ -467,9 +491,9 @@ def joint_refine(
     the residual is small. `_descend` takes the steps (at most
     `JOINT_MAX_ITERS`), so the returned fit error never exceeds the starting one.
 
-    Returns (trajectories, per-frequency amplitude arrays, OptimReport,
-    per-frequency residual matrices): the residuals are the data projected
-    away from the returned trajectories, as the refine evaluated them there.
+    Returns (trajectories, (F, k, L) amplitudes, OptimReport, (F, N, L)
+    residuals): the residuals are the data projected away from the returned
+    trajectories, as the refine evaluated them there.
     """
     trajectories = list(trajectories)
     if not trajectories:
@@ -481,14 +505,15 @@ def joint_refine(
     D = model.n_params
     L = blocks[0].snapshots
     wavelengths = block_wavelengths(array, blocks)
-    data = [b.data for b in blocks]
+    data = np.stack([b.data for b in blocks])
+    scales = _phase_scales(array, wavelengths)
     T = doa_map(model, L)
     physical = _physical(T)
     lows = np.tile(bounds.lows, k)
     highs = np.tile(bounds.highs, k)
     box = Bounds(tuple(lows), tuple(highs))
 
-    last = None  # (fit error, trajectories, amplitudes, residuals, stacks) of the latest point
+    last = None  # (fit error, trajectories, amplitudes, residuals, stack) of the latest point
     taken = None  # `last` at the latest direction's point; a rejected candidate overwrites `last`
 
     def fit_error(u):
@@ -502,25 +527,21 @@ def joint_refine(
         nonlocal taken
         taken = last  # u, the start or an accepted candidate, was the last point evaluated
         _, trajs, X, R, A = last
-        g = np.zeros(k * D)
-        H = np.zeros((k * D, k * D))
         theta = np.stack([doas(t, L) for t in trajs])  # (k, L)
         dcoef = 1j * DEG * np.cos(theta * DEG)  # d a / d theta_deg factor, per (k, L)
         n = np.arange(array.n_sensors, dtype=float)
-        for fi, (R_f, A_f, lam) in enumerate(zip(R, A, wavelengths)):
-            cf = _phase_scale(array, lam)
-            # W[i, n, l] = x_il * d a_n(theta_il) / d theta, so the Jacobian
-            # column for parameter (i, c) is -W[i] * T[c]
-            W = (X[fi][:, None, :] * (cf * dcoef)[:, None, :]) * (n[None, :, None] * A_f)
-            p = np.einsum("nl,inl->il", np.conj(R_f), W)
-            g += -np.real(p @ T.T).reshape(-1)
-            # Kaufman's Jacobian P_perp W: all k columns projected per
-            # snapshot away from the steering span in one solve. p needs no
-            # projection, R_f being orthogonal to that span already.
-            _, PW, _ = project_out(A_f, np.moveaxis(W, 0, -1))  # (N, L, k)
-            q = np.einsum("nli,nlj->ijl", np.conj(PW), PW)
-            Hblk = np.real(np.einsum("ijl,cl,dl->icjd", q, T, T))
-            H += Hblk.reshape(k * D, k * D)
+        # W[f, i, n, l] = x_fil * d a_fn(theta_il) / d theta, so the Jacobian
+        # column for parameter (i, c) at frequency f is -W[f, i] * T[c]
+        W = (X[:, :, None, :] * (scales[:, None, None] * dcoef)[:, :, None, :]) * (n[:, None] * A)
+        p = np.einsum("fnl,finl->fil", np.conj(R), W)
+        g = _frequency_sum(-np.real(p @ T.T).reshape(len(p), -1))
+        # Kaufman's Jacobian P_perp W: all k columns projected per frequency
+        # and snapshot away from the steering span in one solve. p needs no
+        # projection, R being orthogonal to that span already.
+        _, PW, _ = project_out(A, np.moveaxis(W, 1, -1))  # (F, N, L, k)
+        q = np.einsum("fnli,fnlj->fijl", np.conj(PW), PW)
+        Hblk = np.real(np.einsum("fijl,cl,dl->ficjd", q, T, T))
+        H = _frequency_sum(Hblk.reshape(len(q), k * D, k * D))
         mu = 1e-10 * max(float(np.trace(H)) / (k * D), 1.0)
         try:
             return g, np.linalg.solve(H + mu * np.eye(k * D), -g)
@@ -528,6 +549,6 @@ def joint_refine(
             return g, -g
 
     u = box.clip(np.concatenate([t.vector() for t in trajectories]))
-    _, report = _descend(fit_error, gauss_newton, u, box, physical, JOINT_MAX_ITERS)
+    _, report = _descend(fit_error, gauss_newton, u, fit_error(u), box, physical, JOINT_MAX_ITERS)
     _, trajs, X, R, _ = taken if report.converged else last
     return trajs, X, report, R

@@ -210,7 +210,7 @@ def test_criterion_5_omp_orthogonality():
         estimates, _ = tl_omp(blocks, grid, array, K)
         sel = [e.params for e in estimates]
         A = np.stack([trajectory_steering_matrix(t, array, 30, lam) for t in sel])
-        coeffs, _ = batched_snapshot_ls(A, blocks[0].data)
+        (coeffs,), _ = batched_snapshot_ls(A[None], blocks[0].data[None])
         R = blocks[0].data - np.einsum("inl,li->nl", A, coeffs)
         norms = np.linalg.norm(R, axis=0)
         rel = np.abs(np.einsum("inl,nl->il", np.conj(A), R)) / (

@@ -764,7 +764,7 @@ class TestTlOmp:
                 A = np.stack([trajectory_steering_matrix(t, array, 30, lam) for t in sel])
                 from trajloc.optim import batched_snapshot_ls
 
-                coeffs, _ = batched_snapshot_ls(A, blocks[0].data)
+                (coeffs,), _ = batched_snapshot_ls(A[None], blocks[0].data[None])
                 R = blocks[0].data - np.einsum("inl,li->nl", A, coeffs)
                 ip = np.abs(np.einsum("inl,nl->il", np.conj(A), R))
                 norms = np.linalg.norm(R, axis=0)

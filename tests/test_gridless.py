@@ -80,8 +80,8 @@ class TestTlSfw:
         estimates, trace = tl_sfw(blocks, linear_grid, array, 4)
         W = [e.params for e in estimates]
         X = np.stack([e.amplitudes[0] for e in estimates])
-        A = steering_stack(W, array, 30, wavelength_for(array, None))
-        R = model_residuals(A, X, blocks[0].data)
+        A = steering_stack(W, array, 30, (wavelength_for(array, None),))
+        R = model_residuals(A, X[None], blocks[0].data[None])
         assert np.linalg.norm(R) == pytest.approx(trace.residual_norms[-1], rel=1e-12)
 
     def test_joint_fit_error_non_increasing_across_sources(self, array, linear_grid, four_sources):
@@ -145,8 +145,8 @@ class TestTlNomp:
         # the carried residual is the data projected away from the estimates
         blocks, _ = synthesize_block(four_sources, array, 30, 5.0, seed=8)
         estimates, trace = tl_nomp(blocks, linear_grid, array, 4)
-        A = steering_stack([e.params for e in estimates], array, 30, wavelength_for(array, None))
-        _, R, _ = project_out(A, blocks[0].data)
+        (A,) = steering_stack([e.params for e in estimates], array, 30, (wavelength_for(array, None),))
+        _, (R,), _ = project_out(A[None], blocks[0].data[None])
         assert np.linalg.norm(R) == pytest.approx(trace.residual_norms[-1], rel=1e-12)
         ip = np.abs(np.einsum("inl,nl->il", np.conj(A), R))
         norms = np.linalg.norm(R, axis=0)

@@ -176,8 +176,8 @@ class TestAmplitudes:
         blocks, _ = synthesize_block(four_sources, array, 30, 5.0, seed=4)
         lams = block_wavelengths(array, blocks)
         X = amplitudes_ls(four_sources, blocks, array)
-        A = steering_stack(four_sources, array, 30, lams[0])
-        R = model_residuals(A, X[0], blocks[0].data)
+        (A,) = steering_stack(four_sources, array, 30, lams)
+        (R,) = model_residuals(A[None], X, blocks[0].data[None])
         ip = np.einsum("inl,nl->il", np.conj(A), R)
         scale = np.linalg.norm(blocks[0].data) * np.sqrt(10)
         assert np.abs(ip).max() / scale < 1e-9
@@ -194,8 +194,8 @@ class TestAmplitudes:
         # on the matched-filter, normal-equation and pseudo-inverse paths
         rng = np.random.default_rng(15)
         trajs = [TrajectoryParams(LINEAR, phi, (1.0,)) for phi in phis]
-        A = steering_stack(trajs, array, 30, wavelength_for(array, None))
-        Y = np.stack([random_residual(rng) for _ in range(3)], axis=-1)
+        A = steering_stack(trajs, array, 30, (wavelength_for(array, None),))
+        Y = np.stack([random_residual(rng) for _ in range(3)], axis=-1)[None]
         X, R, bad = project_out(A, Y)
         assert bad == (phis == (20.0, 20.0))
         for j in range(3):
@@ -217,10 +217,10 @@ class TestProjectAll:
         stacks, X, R = project_all(four_sources, data, array, lams)
         assert len(stacks) == len(X) == len(R) == len(self.FREQS)
         for f, (Y, lam) in enumerate(zip(data, lams)):
-            A = steering_stack(four_sources, array, 30, lam)
-            X_f, R_f, bad = project_out(A, Y)
+            A = steering_stack(four_sources, array, 30, (lam,))
+            (X_f,), (R_f,), bad = project_out(A, Y[None])
             assert not bad
-            assert np.array_equal(stacks[f], A)
+            assert np.array_equal(stacks[f], A[0])
             assert np.array_equal(X[f], X_f)
             assert np.array_equal(R[f], R_f)
 
@@ -231,6 +231,120 @@ class TestProjectAll:
             warnings.simplefilter("always")
             project_all([src, src], data, array, lams)
         assert [w.category for w in caught] == [NumericsWarning]
+
+
+STACK_FREQS = (1100.0, 1250.0, 1400.0, 1550.0, 1700.0, 1850.0, 2000.0)
+STACK_SOURCES = ((20.7, 1.73), (-40.4, -2.6), (55.0, 0.8))
+
+
+class TestFrequencyStack:
+    """The kernels on F stacked frequencies against F one-frequency calls,
+    bit for bit. L = 32 makes the 1/L scaling of the beam objective exact,
+    so per-frequency values can be scaled back and summed."""
+
+    L = 32
+
+    def case(self, F, k, seed=3):
+        freqs = STACK_FREQS[:F]
+        array = ArrayConfig.for_frequencies(10, freqs)
+        sources = [TrajectoryParams(LINEAR, phi, (a,)) for phi, a in STACK_SOURCES[:k]]
+        blocks, _ = synthesize_block(sources, array, self.L, 5.0, freqs, seed=seed)
+        return array, sources, np.stack([b.data for b in blocks]), block_wavelengths(array, blocks)
+
+    @pytest.mark.parametrize("F", [1, 3, 7])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_steering_stack_slices_are_steering_matrices(self, F, k):
+        array, sources, _, lams = self.case(F, k)
+        A = steering_stack(sources, array, self.L, lams)
+        assert A.shape == (F, k, 10, self.L)
+        for f, lam in enumerate(lams):
+            for i, t in enumerate(sources):
+                assert np.array_equal(A[f, i], trajectory_steering_matrix(t, array, self.L, lam))
+
+    @pytest.mark.parametrize("F", [1, 3, 7])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_project_all_equals_per_frequency_fits(self, F, k):
+        array, sources, Y, lams = self.case(F, k)
+        A, X, R = project_all(sources, Y, array, lams)
+        assert A.shape == (F, k, 10, self.L) and X.shape == (F, k, self.L) and R.shape == Y.shape
+        for f in range(F):
+            (A_f,), (X_f,), (R_f,) = project_all(sources, Y[f : f + 1], array, lams[f : f + 1])
+            assert np.array_equal(A[f], A_f)
+            assert np.array_equal(X[f], X_f)
+            assert np.array_equal(R[f], R_f)
+
+    @pytest.mark.parametrize("F", [1, 3, 7])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_objective_and_derivatives_sum_frequencies_in_order(self, F, k):
+        array, sources, Y, lams = self.case(F, k)
+        # the residual of all but the last source, evaluated near that source
+        R = project_all(sources[:-1], Y, array, lams)[2] if k > 1 else Y
+        phi, a = STACK_SOURCES[k - 1]
+        params = TrajectoryParams(LINEAR, phi + 0.3, (a - 0.2,))
+        value, g, H = optim._value_grad_hess(params, R, array, lams)
+        total, g_sum, H_sum = 0.0, np.zeros(2), np.zeros((2, 2))
+        for f in range(F):
+            v_f, g_f, H_f = optim._value_grad_hess(params, R[f : f + 1], array, lams[f : f + 1])
+            assert v_f == objective(params, R[f : f + 1], array, lams[f : f + 1])
+            total += v_f * self.L
+            g_sum += g_f * self.L
+            H_sum += H_f * self.L
+        assert value == objective(params, R, array, lams) == total / self.L
+        assert np.array_equal(g, g_sum / self.L)
+        assert np.array_equal(H, H_sum / self.L)
+
+    @pytest.mark.parametrize("F", [1, 3, 7])
+    def test_coincident_pair_takes_pinv_at_that_snapshot_only(self, F, monkeypatch):
+        # the pair's steering vectors coincide at one (frequency, snapshot)
+        # only: the pseudo-inverse runs there and nowhere else, every other
+        # fit is the normal-equation solve of its frequency alone, and the
+        # fit warns once
+        array, sources, Y, lams = self.case(F, 2)
+        f0, l0 = F - 1, 17
+        A = steering_stack(sources, array, self.L, lams)
+        A[f0, 1, :, l0] = A[f0, 0, :, l0]
+        pinv = np.linalg.pinv
+        taken = []
+
+        def counted(M, **kwargs):
+            taken.append(M)
+            return pinv(M, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", counted)
+        X, bad = optim.batched_snapshot_ls(A, Y)
+        assert bad and len(taken) == 1 and np.array_equal(taken[0], A[f0, :, :, l0].T)
+        for f in range(F):
+            (X_f,), bad_f = optim.batched_snapshot_ls(A[f : f + 1], Y[f : f + 1])
+            assert bad_f == (f == f0)
+            assert np.array_equal(X[f], X_f)
+        monkeypatch.setattr(optim, "steering_stack", lambda *args: A)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            project_all(sources, Y, array, lams)
+        assert [w.category for w in caught] == [NumericsWarning]
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["objective", "objective_grad_hess", "newton_step", "maximize_local", "project_all"],
+    )
+    @pytest.mark.parametrize("counts", [(3, 1), (3, 2), (1, 2)])
+    def test_mismatched_frequency_counts_refused(self, entry, counts):
+        # zip would truncate lists of different lengths, and a stacked array
+        # would broadcast a single phase scale over every frequency
+        array, sources, Y, lams = self.case(3, 1)
+        n_res, n_lam = counts
+        R, wavelengths = Y[:n_res], lams[:n_lam]
+        params = sources[0]
+        box = Bounds((-89.0, -6.0), (89.0, 6.0))
+        call = {
+            "objective": lambda: objective(params, list(R), array, wavelengths),
+            "objective_grad_hess": lambda: objective_grad_hess(params, R, array, wavelengths),
+            "newton_step": lambda: newton_step(params, R, array, wavelengths, box),
+            "maximize_local": lambda: maximize_local(params, list(R), array, wavelengths, box),
+            "project_all": lambda: project_all([params], R, array, wavelengths),
+        }[entry]
+        with pytest.raises(ValueError, match=f"{n_res} frequencies of residuals but {n_lam} wavelengths"):
+            call()
 
 
 class TestLocalAscent:
@@ -532,8 +646,8 @@ class TestJointRefine:
         def fit_at(W):
             X = amplitudes_ls(W, blocks, array)
             lams = block_wavelengths(array, blocks)
-            stacks = [steering_stack(W, array, 30, lam) for lam in lams]
-            R = [model_residuals(A, X_f, b.data) for A, X_f, b in zip(stacks, X, blocks)]
+            A = steering_stack(W, array, 30, lams)
+            R = model_residuals(A, X, np.stack([b.data for b in blocks]))
             return 0.5 * sum(np.sum(np.abs(r) ** 2) for r in R)
 
         for _ in range(20):
@@ -553,8 +667,9 @@ class TestJointRefine:
 
     def test_one_stack_per_point_and_no_reevaluation(self, monkeypatch):
         # one accepted Gauss-Newton step evaluates two points, the start and
-        # the candidate, each with one steering stack per frequency, and
-        # projects the derivative columns once per frequency
+        # the candidate, each with one (F, k, N, L) steering stack for all
+        # frequencies and no per-trajectory steering matrix, and projects the
+        # derivative columns of all frequencies once
         from trajloc import ArrayConfig, optim
 
         freqs = (1400.0, 1600.0, 1800.0)
@@ -575,13 +690,13 @@ class TestJointRefine:
             monkeypatch.setattr(optim, name, call)
 
         counted("batched_snapshot_ls")
+        counted("steering_stack")
         counted("trajectory_steering_matrix")
         monkeypatch.setattr(optim, "JOINT_MAX_ITERS", 1)
         _, _, report, _ = joint_refine(start, blocks, array, self.bounds())
-        F, k = len(freqs), len(start)
         assert report.iterations == 1 and report.step_norms[0] > 0
         assert report.objectives[-1] == report.final_objective
-        assert calls == {"batched_snapshot_ls": 3 * F, "trajectory_steering_matrix": 2 * k * F}
+        assert calls == {"batched_snapshot_ls": 3, "steering_stack": 2}
 
     @pytest.mark.parametrize("max_iters", [0, 100])
     def test_returned_residuals_match_rebuilt_residuals(self, max_iters, monkeypatch):
@@ -595,10 +710,8 @@ class TestJointRefine:
         start = [TrajectoryParams(LINEAR, 21.0, (1.5,)), TrajectoryParams(LINEAR, -41.0, (-2.5,))]
         monkeypatch.setattr(optim, "JOINT_MAX_ITERS", max_iters)
         W, X, report, R = joint_refine(start, blocks, array, self.bounds())
-        rebuilt = [
-            model_residuals(steering_stack(W, array, 30, lam), X_f, b.data)
-            for lam, X_f, b in zip(block_wavelengths(array, blocks), X, blocks)
-        ]
+        Y = np.stack([b.data for b in blocks])
+        rebuilt = model_residuals(steering_stack(W, array, 30, block_wavelengths(array, blocks)), X, Y)
         assert len(R) == len(freqs)
         for R_f, rebuilt_f in zip(R, rebuilt):
             assert np.array_equal(R_f, rebuilt_f)
