@@ -25,17 +25,13 @@ start's lattice maxima and best neighbor. All of them are made here, by
 open are rescanned in float64 (`grid_beam_power`, from phasor rows built on
 demand), so every decision is exactly the float64 scan's.
 
-The float64 scan walks its rows in blocks of 512 KB of accumulator. What its
-sensor recursion touches stays in a core's L2 cache: the block's accumulator,
-the block's phasor rows and a tile of the conjugated residual rows, where a
-whole-table pass would stream the (M, L) rows from memory once per sensor.
-The recursion runs on conj(R) against the phasor rows as they are: that gives
-the conjugate of each beam sum, whose squared modulus is the same to the
-bit, so no row is conjugated or copied. The blocking changes no element's
-arithmetic: values are bit-identical to a whole-table pass, at each row
-whichever other rows are scanned. Every scan zeroes the grid points whose
-trajectory leaves (-90, 90) degrees. Scans run serially, in the calling
-thread.
+The float64 scan is one loop over blocks of 512 KB of accumulator: per
+frequency, a block builds its phasor rows and runs the sensor recursion on
+them, so its memory is a few blocks whatever M and F are. The blocking
+changes no element's arithmetic: values are bit-identical to a whole-table
+pass, at each row whichever other rows are scanned. Every scan zeroes the
+grid points whose trajectory leaves (-90, 90) degrees. Scans run serially,
+in the calling thread.
 """
 
 from __future__ import annotations
@@ -60,12 +56,12 @@ from .model import (
     ArrayConfig,
     TrajectoryParams,
     _phase_scale,
-    _phase_scales,
     block_wavelengths,
     trajectory_steering_matrix,  # noqa: F401 -- module attribute that perfbench's tracer rebinds
 )
 from .optim import (
     NumericsWarning,
+    _frequency_stack,
     amplitudes_ls,
     project_all,
     residual_energy,
@@ -139,9 +135,7 @@ PEAK_EXCESS = 2  # spectrum methods report K + PEAK_EXCESS peaks for K sources
 
 
 # Bytes of one (rows, L) complex128 block of the float64 scan. A 2 MB
-# per-core L2 cache holds the block's accumulator, its phasor rows and its
-# tile of conj(R): N rows of `_tile_rows` * L elements each, 640 KB at
-# N = 10.
+# per-core L2 cache holds the block's accumulator and its phasor rows.
 _SCAN_BLOCK_BYTES = 1 << 19
 
 # T, the number of equal intervals of x = sin(theta) over [-1, 1] on which a
@@ -179,65 +173,6 @@ def _eval_rows(L: int) -> int:
     return max(1, _SCAN_BLOCK_BYTES // (32 * L))
 
 
-def _tile_rows(L: int) -> int:
-    """Rows of the float64 scan's tile of conj(R) at block length L (137 at
-    L = 30): the fewest whose tile row numpy adds unbuffered. Its ufunc loop
-    stages a broadcast row of up to half its buffer (`np.getbufsize`, 8192
-    elements by default) through that buffer; on numpy 2.4 such an add ran
-    at about half the speed of one with a longer row."""
-    return np.getbufsize() // (2 * L) + 1
-
-
-def _scan(residuals, tables) -> np.ndarray:
-    """Beam power row sums of the complex128 phasor rows ``tables`` (one
-    (M, L) array per frequency), frequency f's in row f of the (F, M)
-    result: the sensor recursion block by block, every frequency in order,
-    with each row's sum over the snapshots taken in float64.
-
-    The recursion runs on conj(R) against the phasor rows as they are, which
-    yields the conjugate of each element's sum, so |.|^2 is the same to the
-    bit and no row is conjugated. conj(R) is repeated `_tile_rows` times per
-    row, so each Horner add is one long tile row broadcast over a block's
-    whole tiles, plus a prefix of it over the rows left over."""
-    N, L = residuals[0].shape
-    M = tables[0].shape[0]
-    step = max(1, min(M, _scan_rows(L)))
-    values = np.empty((len(tables), M))
-    width = min(step, _tile_rows(L)) * L
-    tiles = np.empty((N, width), dtype=complex)
-    acc_block = np.empty(step * L, dtype=complex)
-    for R, table, out in zip(residuals, tables, values):
-        np.conjugate(R[:, None, :], out=tiles.reshape(N, -1, L))
-        for s in range(0, M, step):
-            e = min(s + step, M)
-            E = table[s:e].reshape(-1)
-            acc = acc_block[: E.size]
-            whole = E.size - E.size % width
-            parts = [
-                (acc[:whole].reshape(-1, width), E[:whole].reshape(-1, width), tiles),
-                (acc[whole:], E[whole:], tiles[:, : E.size - whole]),
-            ]
-            parts = [p for p in parts if p[0].size]
-            # the first step multiplies conj(R[N-1]) without copying it into
-            # acc; the accumulator operand goes first, as in every later step,
-            # since numpy's complex multiply rounds differently when swapped
-            for a, Ea, t in parts:
-                np.multiply(t[N - 1], Ea, out=a)
-                a += t[N - 2]
-            for n in range(N - 3, -1, -1):
-                np.multiply(acc, E, out=acc)
-                for a, _, t in parts:
-                    a += t[n]
-            # |acc|^2 in place: fresh temporaries per block made the allocator
-            # hand pages back and fault them in again on every scan
-            f = acc.view(float)
-            np.square(f, out=f)
-            re = f[0::2]
-            re += f[1::2]
-            out[s:e] = re.reshape(e - s, L).sum(axis=1, dtype=float)
-    return values
-
-
 def grid_beam_power(
     residuals, grid: ParamGrid, array: ArrayConfig, wavelengths, rows=None
 ) -> np.ndarray:
@@ -246,32 +181,58 @@ def grid_beam_power(
     in complex128: the reference scan, and the rescan that settles what an
     interpolated scan (`_interpolated_power`) leaves open.
 
-    Horner recursion over the sensor index against the complex128 phasor
-    rows of the scanned points (`phase_rows`, built for the call), so a scan
-    costs N - 1 complex multiply-adds of an (M, L) array per frequency
-    (`_scan`). Every element sees the same arithmetic in the same order as
-    in a whole-table pass, and each phasor row is the same to the bit
-    whichever rows are built with it, so the values depend neither on the
-    block size nor on which other rows are scanned. The residuals have at
-    least two sensor rows, as every `ArrayConfig` has at least two sensors.
+    One loop over blocks of `_scan_rows` scanned points. For each frequency
+    in order, a block builds its complex128 phasor rows (`phase_rows`) and
+    runs the Horner recursion over the sensor index on them, N - 1 complex
+    multiply-adds of a (rows, L) array, then adds each row's sum over the
+    snapshots to its value. So a scan holds a few blocks, whatever M and F
+    are. Each phasor row is the same to the bit whichever rows are built
+    with it, and every element sees the same arithmetic in the same order,
+    so the values depend neither on the block size nor on which other rows
+    are scanned. The residuals have at least two sensor rows, as every
+    `ArrayConfig` has at least two sensors.
 
     Grid trajectories that leave (-90, 90) degrees (`nonphysical_mask`) get
     power 0, so no peak search or argmax can return them.
     """
-    L = residuals[0].shape[1]
+    R, scales = _frequency_stack(residuals, array, wavelengths)
+    N, L = R.shape[1:]
     mask = nonphysical_mask(grid, L)
-    picked = slice(None)
     if rows is not None:
         rows = np.asarray(rows)
         if rows.ndim != 1 or rows.dtype.kind not in "iu":
             raise ValueError("rows must be a 1-D array of grid indices")
         if rows.size and (rows[0] < 0 or rows[-1] >= grid.size or (rows[1:] <= rows[:-1]).any()):
             raise ValueError(f"rows must be strictly increasing indices in [0, {grid.size})")
-        mask, picked = mask[rows], rows
-    tables = [phase_rows(grid, L, _phase_scale(array, lam), picked) for lam in wavelengths]
-    values = np.zeros(mask.size)
-    for v in _scan(residuals, tables):  # frequencies in order
-        values += v
+        mask = mask[rows]
+    M = mask.size
+    step = max(1, min(M, _scan_rows(L)))
+    values = np.zeros(M)
+    acc_block = np.empty((step, L), dtype=complex)
+    conj = np.conjugate(R)
+    for s in range(0, M, step):
+        e = min(s + step, M)
+        picked = slice(s, e) if rows is None else rows[s:e]
+        acc = acc_block[: e - s]
+        for cR, scale in zip(conj, scales):  # frequencies in order
+            E = phase_rows(grid, L, scale, picked)
+            # the recursion on conj(R) yields the conjugate of each beam sum,
+            # whose |.|^2 is the same to the bit, so no row is conjugated; the
+            # first step multiplies conj(R[N-1]) without copying it into acc,
+            # and the accumulator operand goes first in every later step,
+            # since numpy's complex multiply rounds differently when swapped
+            np.multiply(cR[N - 1], E, out=acc)
+            acc += cR[N - 2]
+            for n in range(N - 3, -1, -1):
+                np.multiply(acc, E, out=acc)
+                acc += cR[n]
+            # |acc|^2 in place: fresh temporaries per block made the allocator
+            # hand pages back and fault them in again on every scan
+            f = acc.view(float)
+            np.square(f, out=f)
+            re = f[:, 0::2]
+            re += f[:, 1::2]
+            values[s:e] += re.sum(axis=1, dtype=float)
     values[mask] = 0.0
     return values / L
 
@@ -363,15 +324,13 @@ def _tabulate(residuals, grid: ParamGrid, array: ArrayConfig, wavelengths) -> _B
     - Underflow adds at most (4 F + 16) 2^-1074 to a row, where the residual
       is not all zero.
     """
-    N, L = residuals[0].shape
-    F = len(residuals)
+    R, scales = _frequency_stack(residuals, array, wavelengths)
+    F, N, L = R.shape
     h = 2.0 / _INTERVALS
     K = _INTERVALS + 3
     size = _INTERVALS * L * 4
     store = np.empty(size + max((2 * F + 1) * K * L, 6 * _eval_rows(L) * L))
     coeffs, scratch = store[:size], store[size:]
-    scales = _phase_scales(array, tuple(wavelengths))
-    R = np.asarray(residuals)  # (F, N, L)
     parts = scratch[: 2 * F * K * L].reshape(F, 2 * K, L)
     power = scratch[2 * F * K * L : (2 * F + 1) * K * L].reshape(K, L)
     np.matmul(_node_matrix(tuple(scales), N), np.concatenate([R.real, R.imag], axis=1), out=parts)
@@ -439,13 +398,14 @@ def _interpolated_power(table: _BeamTable, rows=None):
     return values, np.where(mask, 0.0, table.bound)
 
 
-def _rescore(values, bound, picked, rescan) -> None:
-    """Overwrite ``values`` at the indices ``picked`` with their float64
-    values ``rescan(indices)``, skipping the indices whose bound is 0, which
-    hold theirs already."""
+def _rescore(values, bound, picked, table: _BeamTable, rows) -> None:
+    """Overwrite ``values``, an interpolated scan of the grid points ``rows``
+    (all when None), at the scan positions ``picked`` with their float64
+    values (`_BeamTable.rescan`), skipping the positions whose bound is 0,
+    which hold theirs already."""
     picked = picked[bound[picked] > 0]
     if picked.size:
-        values[picked] = rescan(picked)
+        values[picked] = table.rescan(picked if rows is None else rows[picked])
 
 
 def _neighborhoods(centers, shape) -> np.ndarray:
@@ -459,12 +419,13 @@ def _neighborhoods(centers, shape) -> np.ndarray:
     return np.ravel_multi_index(multi, shape, mode="clip")
 
 
-def _settle_local_maxima(values, bound, shape, rescan, ranked: bool) -> np.ndarray:
-    """The local maxima of the float64 field that ``values`` approximates
-    within ``bound`` on a lattice of ``shape``, as `local_maxima` gives them,
-    settled in place: afterwards `local_maxima` of ``values`` gives them too,
-    and with ``ranked`` their values are the float64 field's, so they rank
-    as there.
+def _settle_local_maxima(values, bound, shape, table: _BeamTable, rows, ranked: bool) -> np.ndarray:
+    """The local maxima of the float64 field that ``values``, an interpolated
+    scan of ``table`` at the grid points ``rows`` (all when None),
+    approximates within ``bound`` on a lattice of ``shape``, as
+    `local_maxima` gives them, settled in place: afterwards `local_maxima`
+    of ``values`` gives them too, and with ``ranked`` their values are the
+    float64 field's, so they rank as there.
 
     A point surely is no float64 local maximum when some neighbor is surely
     larger (its values - bound exceeds the point's values + bound), or when
@@ -481,7 +442,7 @@ def _settle_local_maxima(values, bound, shape, rescan, ranked: bool) -> np.ndarr
     others = np.where(near == maybe[:, None], -np.inf, hi[near]).max(axis=1, initial=-np.inf)
     sure = (lo[maybe] > 0) & (lo[maybe] >= others)
     picked = [near[~sure].reshape(-1)] + ([maybe[sure]] if ranked else [])
-    _rescore(values, bound, np.unique(np.concatenate(picked)), rescan)
+    _rescore(values, bound, np.unique(np.concatenate(picked)), table, rows)
     # an open point and its neighbors now hold their float64 values
     center, around = values[maybe[~sure]], values[near[~sure]]
     sure[~sure] = (center > 0) & (center >= around.max(axis=1, initial=-np.inf))
@@ -494,8 +455,7 @@ def _scan_maxima(table: _BeamTable, rows, shape, ranked: bool):
     local maxima settled as the float64 scan's (`_settle_local_maxima`):
     (values, the maxima's positions in the scan)."""
     values, bound = _interpolated_power(table, rows=rows)
-    rescan = table.rescan if rows is None else lambda idx: table.rescan(rows[idx])
-    return values, _settle_local_maxima(values, bound, shape, rescan, ranked)
+    return values, _settle_local_maxima(values, bound, shape, table, rows, ranked)
 
 
 def tl_cbf_spectrum(blocks, grid: ParamGrid, array: ArrayConfig) -> Spectrum:
@@ -567,8 +527,7 @@ def _beam_argmax(table: _BeamTable, rows=None) -> int:
     bound."""
     values, bound = _interpolated_power(table, rows=rows)
     contenders = np.flatnonzero(values + bound >= np.max(values - bound))
-    rescan = table.rescan if rows is None else lambda idx: table.rescan(rows[idx])
-    _rescore(values, bound, contenders, rescan)
+    _rescore(values, bound, contenders, table, rows)
     best = int(contenders[np.argmax(values[contenders])])
     return best if rows is None else int(rows[best])
 

@@ -38,7 +38,6 @@ from trajloc.gridalgos import (
     _interpolated_power,
     _scan_rows,
     _tabulate,
-    _tile_rows,
     grid_beam_power,
     local_maxima,
 )
@@ -147,7 +146,7 @@ def grid_of_size(M):
 
 
 ROWS = _scan_rows(30)
-TILE = _tile_rows(30)
+TILE = 137  # a row count that does not divide ROWS
 WIDEBAND = (1400.0, 1600.0, 1800.0)
 
 
@@ -172,14 +171,13 @@ class TestGridBeamPower:
             (1806, 10, WIDEBAND),  # distinct wavelengths
             (2 * ROWS + 1, 2, None),  # a single Horner step
             (2 * ROWS + TILE + 1, 3, WIDEBAND),  # two Horner steps
-            (TILE - 1, 10, None),  # less than one tile
+            (TILE - 1, 10, None),  # a short single block
             (3 * TILE + 5, 10, WIDEBAND),
-            (ROWS + TILE + 1, 10, None),  # a second block of a tile and a row
-            (2 * ROWS + TILE // 2, 10, WIDEBAND),  # a last block shorter than a tile
+            (ROWS + TILE + 1, 10, None),  # a short second block
+            (2 * ROWS + TILE // 2, 10, WIDEBAND),  # a last block of 68 rows
         ],
     )
     def test_matches_whole_table_scan(self, M, N, freqs):
-        assert ROWS % TILE  # so every full block ends inside a tile
         grid, array, wavelengths, residuals = scan_inputs(M, N, freqs)
         before = [R.copy() for R in residuals]
         tables = [phase_table(grid, 30, _phase_scale(array, lam)) for lam in wavelengths]
@@ -195,11 +193,10 @@ class TestGridBeamPower:
             assert not t.flags.writeable
         assert np.array_equal(values, reference_beam_power(residuals, grid, array, wavelengths))
 
-
     @pytest.mark.parametrize(
         "N, pick",
         [
-            (10, lambda M: 2 * np.arange(ROWS + TILE // 2)),  # a last block shorter than a tile
+            (10, lambda M: 2 * np.arange(ROWS + TILE // 2)),  # a last block of 68 rows
             (2, lambda M: np.arange(0, M, 3)),
             (3, lambda M: np.arange(0, M, 3)),
         ],
@@ -234,6 +231,26 @@ class TestGridBeamPower:
         table = T * 30 * 32 + 15 * (T + 3) * 30 * 8
         assert peak < table + 2 * M * 8 + (1 << 18)
         assert peak < M * 30 * 32 / 6
+
+    def test_float64_scan_holds_a_few_blocks(self):
+        """A full float64 scan of a wideband F = 7 block, its DOA table and
+        mask cached: each block builds its own phasor rows, so the scan
+        holds a few blocks besides its M values. Phasor tables of the whole
+        grid would take M L 16 bytes per frequency, 58.7 MB for all seven."""
+        M = 16 * ROWS
+        grid = grid_of_size(M)
+        freqs = WIDEBAND_SETS[7]
+        array = ArrayConfig.for_frequencies(10, freqs)
+        lams = tuple(wavelength_for(array, f) for f in freqs)
+        residuals = random_residuals(M, 7)
+        grid_beam_power(residuals, grid, array, lams)  # the DOA table and mask are cached
+        tracemalloc.start()
+        try:
+            grid_beam_power(residuals, grid, array, lams)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * gridalgos._SCAN_BLOCK_BYTES + 16 * M
 
     @pytest.mark.parametrize(
         "M, pick",
@@ -580,7 +597,8 @@ class TestCertifiedScan:
             rescanned.append(idx)
             return exact[idx]
 
-        maxima = gridalgos._settle_local_maxima(values, bound, shape, rescan, ranked)
+        table = mock.Mock(spec=_BeamTable, rescan=rescan)
+        maxima = gridalgos._settle_local_maxima(values, bound, shape, table, None, ranked)
         assert np.array_equal(maxima, local_maxima(exact, shape))
         assert np.array_equal(local_maxima(values, shape), maxima)
         if ranked:

@@ -19,7 +19,7 @@ from trajloc import (
     tl_cbf_spectrum,
     tl_sfw,
 )
-from trajloc.gridalgos import grid_beam_power
+from trajloc.gridalgos import _tabulate, grid_beam_power
 from trajloc.harness import builtin_experiment, materialize
 from trajloc.model import block_wavelengths, trajectory_steering_matrix, wavelength_for
 from trajloc.optim import (
@@ -325,10 +325,18 @@ class TestFrequencyStack:
 
     @pytest.mark.parametrize(
         "entry",
-        ["objective", "objective_grad_hess", "newton_step", "maximize_local", "project_all"],
+        [
+            "objective",
+            "objective_grad_hess",
+            "newton_step",
+            "maximize_local",
+            "project_all",
+            "grid_beam_power",
+            "_tabulate",
+        ],
     )
     @pytest.mark.parametrize("counts", [(3, 1), (3, 2), (1, 2)])
-    def test_mismatched_frequency_counts_refused(self, entry, counts):
+    def test_mismatched_frequency_counts_refused(self, entry, counts, linear_grid):
         # zip would truncate lists of different lengths, and a stacked array
         # would broadcast a single phase scale over every frequency
         array, sources, Y, lams = self.case(3, 1)
@@ -342,6 +350,8 @@ class TestFrequencyStack:
             "newton_step": lambda: newton_step(params, R, array, wavelengths, box),
             "maximize_local": lambda: maximize_local(params, list(R), array, wavelengths, box),
             "project_all": lambda: project_all([params], R, array, wavelengths),
+            "grid_beam_power": lambda: grid_beam_power(list(R), linear_grid, array, wavelengths),
+            "_tabulate": lambda: _tabulate(R, linear_grid, array, wavelengths),
         }[entry]
         with pytest.raises(ValueError, match=f"{n_res} frequencies of residuals but {n_lam} wavelengths"):
             call()
