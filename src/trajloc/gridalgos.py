@@ -25,6 +25,17 @@ start's lattice maxima and best neighbor. All of them are made here, by
 open are rescanned in float64 (`grid_beam_power`, from phasor rows built on
 demand), so every decision is exactly the float64 scan's.
 
+TL-OMP's argmax over the whole grid interpolates only the grid blocks (lines
+of rows along the last axis, `grids.block_ranges`) that may hold it. Each
+interval cubic is at most its largest Bernstein coefficient plus a rounding
+slack (`_interval_maxima`); a sparse range-maximum table over each
+snapshot's intervals turns those into a certified upper bound per block
+(`_block_bounds`). The few blocks of largest bound are interpolated first,
+and a block whose bound is below their largest lower bound is dropped
+(`_pruned_rows`): about 1.4% of the `wideband` grid's rows are left, 3% of
+the `snr` grid's. TL-CBF's spectrum and the coarse start's lattice scan
+still interpolate every row they report or test.
+
 The float64 scan is one loop over blocks of 512 KB of accumulator: per
 frequency, a block builds its phasor rows and runs the sensor recursion on
 them, so its memory is a few blocks whatever M and F are. The blocking
@@ -45,6 +56,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import (
     ParamGrid,
+    block_ranges,
     coarse_lattice,
     coarse_shape,
     grid_point,
@@ -158,6 +170,14 @@ _CUBIC = np.array(
     ]
 )
 
+# Levels of a range-maximum table over the T intervals: a range of at most T
+# intervals is covered by two runs of 2^k <= T of them.
+_RANGE_LEVELS = _INTERVALS.bit_length()
+
+# The grid blocks of largest upper bound that a full-grid argmax interpolates
+# first; their largest lower bound prunes the other blocks (`_pruned_rows`).
+_PROBE_BLOCKS = 4
+
 _U = float(np.finfo(float).eps) / 2  # float64 unit roundoff
 _TINY = 2.0**-1074  # the smallest positive float64
 
@@ -267,7 +287,8 @@ class _BeamTable:
     the frequencies; it is 0 for an all-zero snapshot, whose cubics are 0.
     ``bound`` is their mean over the snapshots plus the underflow slack: the
     bound of every unmasked row, 0 for an all-zero residual. ``scratch``
-    holds the block buffers of its scans, made in one allocation with the
+    holds the block buffers of its scans and the range-maximum table of its
+    block bounds (`_block_bounds`), made in one allocation with the
     coefficients: made afresh per scan, they had the allocator hand their
     pages back and fault them in again, some 200 page faults per `tl_omp`
     call at F = 1. So a table serves one thread."""
@@ -294,7 +315,15 @@ def _tabulate(residuals, grid: ParamGrid, array: ArrayConfig, wavelengths) -> _B
     [x_{i+1}, x_{i+2}] as the monomial coefficients, in t = (x - x_{i+1}) / h,
     of the cubic through its four surrounding nodes (`_CUBIC`). Costs
     O(T L F N) and holds T L 32 bytes of coefficients (492 KB at L = 30),
-    besides the scratch that its nodes and then its scans use.
+    besides the scratch that its nodes, then its scans and a full-grid
+    argmax's range-maximum table use.
+
+    Each cubic is also bounded on its interval, for TL-OMP's block pruning
+    (`_block_bounds`): by the convex-hull property of the Bernstein basis it
+    is at most its largest Bernstein coefficient, a fixed linear map of
+    its monomial coefficients, plus the slack (3 L + 16) u sum_k |c_k|
+    that covers the rounding of that map, of the scan's Horner and of both
+    sums over the snapshots (`_interval_maxima`).
 
     The bound, per snapshot l and frequency f, with s = s_f, A_n =
     |R_f[n, l]|, a = sum_n A_n and the lag moments
@@ -329,7 +358,7 @@ def _tabulate(residuals, grid: ParamGrid, array: ArrayConfig, wavelengths) -> _B
     h = 2.0 / _INTERVALS
     K = _INTERVALS + 3
     size = _INTERVALS * L * 4
-    store = np.empty(size + max((2 * F + 1) * K * L, 6 * _eval_rows(L) * L))
+    store = np.empty(size + max((2 * F + 1) * K * L, 6 * _eval_rows(L) * L, (_RANGE_LEVELS + 2) * size // 4))
     coeffs, scratch = store[:size], store[size:]
     parts = scratch[: 2 * F * K * L].reshape(F, 2 * K, L)
     power = scratch[2 * F * K * L : (2 * F + 1) * K * L].reshape(K, L)
@@ -396,6 +425,122 @@ def _interpolated_power(table: _BeamTable, rows=None):
     np.maximum(values, 0.0, out=values)
     values[mask] = 0.0
     return values, np.where(mask, 0.0, table.bound)
+
+
+def _interval_maxima(coeffs, L: int, out, work) -> None:
+    """Write into ``out`` (T L values, laid out as `_BeamTable.coeffs`) an
+    upper bound on each interval cubic over t in [0, 1], as the interpolated
+    scan evaluates and sums it: the largest of its Bernstein coefficients
+    b_j = sum_k C(j, k) / C(3, k) c_k plus the slack
+    (3 L + 16) u sum_k |c_k|, plus 16 2^-1074 where the cubic is not all
+    zero. ``work`` holds 2 T L scratch values.
+
+    By the convex-hull property the cubic is at most its largest Bernstein
+    coefficient on [0, 1], and that coefficient is at least b_0 = c_0, a
+    node's power, so it is >= 0. The slack covers, in units u sum_k |c_k|:
+    the rounding of the coefficients b_j (5), the scan's Horner at t in
+    [0, 1] (6), the term's share of the scan's sum over the snapshots (L),
+    and its share of the block bound's own sum of these maxima (2 L, as a
+    maximum is at most (1 + 5 u) sum_k |c_k|), with room for rounding the
+    slack itself. The 2^-1074 terms cover underflow in those operations."""
+    n = coeffs.shape[0]
+    c0, c1, c2, c3 = coeffs.T
+    b, s = work[:n], work[n : 2 * n]
+    # b_0 = c_0, b_1 = c_0 + c_1 / 3, b_2 = b_1 + (c_1 + c_2) / 3, b_3 = c_0 + c_1 + c_2 + c_3
+    np.multiply(c1, 1 / 3, out=b)
+    b += c0
+    np.maximum(c0, b, out=out)
+    np.add(c1, c2, out=s)
+    s *= 1 / 3
+    b += s
+    np.maximum(out, b, out=out)
+    np.add(c1, c2, out=b)
+    b += c3
+    b += c0
+    np.maximum(out, b, out=out)
+    np.abs(c0, out=s)
+    for c in (c1, c2, c3):
+        np.abs(c, out=b)
+        s += b
+    s *= (3 * L + 16) * _U
+    np.add(s, 16 * _TINY, out=s, where=s > 0)
+    out += s
+
+
+def _block_bounds(table: _BeamTable) -> np.ndarray:
+    """A certified upper bound on the float64 beam power (`grid_beam_power`)
+    of every row of each grid block (`grids.block_ranges`), shape (M / B,):
+    (1/L) sum_l of the largest interval maximum (`_interval_maxima`) over
+    the intervals that the block's physical rows fall in at snapshot l, plus
+    the table's bound; 0 for a block whose rows are all masked.
+
+    A row's interpolated value is (1/L) sum_l of its cubics, each at most
+    its interval's maximum, so the bound is at least that value plus its
+    certificate, and hence at least the float64 value. A sparse
+    range-maximum table over each snapshot's intervals (Bender &
+    Farach-Colton, LATIN 2000) answers each block's range in O(1): level k
+    holds the maximum of each run of 2^k intervals, built from level k - 1.
+    It takes as many levels as the grid's longest range needs, and lives
+    with the gathered queries in the table's scratch."""
+    L = table.snapshot_bounds.size
+    first, second, live, levels = block_ranges(table.grid, L, _INTERVALS)
+    T, n = _INTERVALS, _INTERVALS * L
+    sparse = table.scratch[: levels * n].reshape(levels, T, L)
+    work = table.scratch[levels * n : (levels + 2) * n]
+    _interval_maxima(table.coeffs, L, sparse[0].reshape(-1), work)
+    for k in range(1, levels):
+        h = 1 << (k - 1)  # level k at i: the larger of level k - 1 at i and at i + h
+        runs = T - 2 * h + 1
+        np.maximum(sparse[k - 1, :runs], sparse[k - 1, h : h + runs], out=sparse[k, :runs])
+    flat = sparse.reshape(-1)
+    bounds = np.empty(first.shape[0])
+    step = max(1, work.size // (2 * L))
+    for s in range(0, bounds.size, step):
+        e = min(s + step, bounds.size)
+        a = work[: (e - s) * L].reshape(e - s, L)
+        b = work[(e - s) * L : 2 * (e - s) * L].reshape(e - s, L)
+        np.take(flat, first[s:e], out=a)
+        np.take(flat, second[s:e], out=b)
+        np.maximum(a, b, out=a)
+        np.einsum("ij->i", a, out=bounds[s:e])
+    bounds /= L
+    bounds += table.bound
+    bounds[~live] = 0.0
+    return bounds
+
+
+def _block_rows(blocks, B: int) -> np.ndarray:
+    """The grid rows of the blocks ``blocks`` (increasing) of B rows each,
+    increasing."""
+    return (blocks[:, None] * B + np.arange(B)).reshape(-1)
+
+
+def _pruned_rows(table: _BeamTable) -> np.ndarray:
+    """The rows, increasing, of the grid blocks that may hold the float64
+    argmax: the `_PROBE_BLOCKS` blocks of largest upper bound
+    (`_block_bounds`) are interpolated, and every block whose upper bound
+    reaches their largest lower bound (values - bound) is kept. A block
+    dropped has every float64 value below that lower bound, itself at most
+    the float64 value of a kept row, so the argmax over the kept rows, lowest
+    index on a tie, is that over the grid. On a zero field the bounds are 0
+    and every block is kept."""
+    bounds = _block_bounds(table)
+    B = table.grid.shape[-1]
+    p = min(_PROBE_BLOCKS, bounds.size)
+    top = np.sort(np.argpartition(bounds, -p)[-p:])
+    values, bound = _interpolated_power(table, rows=_block_rows(top, B))
+    return _block_rows(np.flatnonzero(bounds >= np.max(values - bound)), B)
+
+
+def _lowest_physical(grid: ParamGrid, L: int, rows=None) -> int:
+    """The lowest grid index among ``rows`` (all when None) whose trajectory
+    stays inside (-90, 90) degrees (`nonphysical_mask`): the choice where no
+    point has positive power. Raises where there is none."""
+    mask = nonphysical_mask(grid, L)
+    physical = np.flatnonzero(~(mask if rows is None else mask[rows]))
+    if physical.size == 0:
+        raise ValueError("no grid point scanned stays inside (-90, 90) degrees")
+    return int(physical[0] if rows is None else rows[physical[0]])
 
 
 def _rescore(values, bound, picked, table: _BeamTable, rows) -> None:
@@ -522,14 +667,22 @@ def find_peaks(spectrum: Spectrum, count: int) -> PeakSet:
 def _beam_argmax(table: _BeamTable, rows=None) -> int:
     """The grid index of the largest float64 beam power (`grid_beam_power`)
     over the grid, or over its points ``rows`` (valid for `grid_beam_power`),
-    lowest on a tie: an interpolated scan (`_interpolated_power`), then a
-    float64 rescore of every point whose bound reaches the largest lower
-    bound."""
+    lowest on a tie; where no point has positive power, the lowest physical
+    one (`_lowest_physical`), so a masked point is never chosen.
+
+    Over the grid, the blocks that cannot hold the argmax are pruned first
+    (`_pruned_rows`), and the rest are taken as ``rows``. Over ``rows``: an
+    interpolated scan (`_interpolated_power`), then a float64 rescore of
+    every point whose bound reaches the largest lower bound."""
+    if rows is None:
+        rows = _pruned_rows(table)
     values, bound = _interpolated_power(table, rows=rows)
     contenders = np.flatnonzero(values + bound >= np.max(values - bound))
     _rescore(values, bound, contenders, table, rows)
     best = int(contenders[np.argmax(values[contenders])])
-    return best if rows is None else int(rows[best])
+    if values[best] == 0.0:
+        return _lowest_physical(table.grid, table.snapshot_bounds.size, rows)
+    return int(rows[best])
 
 
 def _coarse_start(residuals, grid: ParamGrid, array: ArrayConfig, wavelengths, flags: list) -> TrajectoryParams:
@@ -548,7 +701,7 @@ def _coarse_start(residuals, grid: ParamGrid, array: ArrayConfig, wavelengths, f
     if maxima.size == 0:
         # a zero residual has a zero field, which holds no peaks
         flags.append("coarse-peak-shortfall")
-        return grid_point(grid, int(np.argmin(nonphysical_mask(grid, L))))
+        return grid_point(grid, _lowest_physical(grid, L))
     rows = np.unique(_neighborhoods(lattice[maxima], grid.shape))
     return grid_point(grid, _beam_argmax(table, rows))
 

@@ -9,7 +9,10 @@ The grid scans read one cached table per (grid, L): where each trajectory's
 sin(theta) falls among equal intervals of [-1, 1] at every snapshot
 (`sine_positions`, 8 bytes per entry, 9.1 MB at M = 37926, L = 30). The
 float64 rescans build the complex128 phasors of the rows they need on demand
-(`phase_rows`). No scan reads the complex64 phasor table (`phase_table`).
+(`phase_rows`). TL-OMP's full-grid argmax also reads, per (grid, L), the
+range of those intervals that each block of rows spans at every snapshot
+(`block_ranges`, 0.4 MB at M = 37926). No scan reads the complex64 phasor
+table (`phase_table`).
 """
 
 from __future__ import annotations
@@ -182,6 +185,42 @@ def sine_positions(grid: ParamGrid, L: int, intervals: int) -> tuple[np.ndarray,
     cell.setflags(write=False)
     t.setflags(write=False)
     return cell, t
+
+
+@lru_cache(maxsize=8)
+def block_ranges(grid: ParamGrid, L: int, intervals: int):
+    """Range-maximum queries over the `sine_positions` intervals of the
+    grid's blocks, as (first, second, live, levels).
+
+    A block is one line of consecutive rows along the grid's last axis
+    (``grid.shape[-1]`` rows; block b holds rows b B .. b B + B - 1). At
+    snapshot l, the block's rows that stay inside (-90, 90) degrees
+    (`nonphysical_mask`) fall in the intervals lo .. hi (``cell // L``,
+    which grows with ``cell``).
+    With k = floor(log2(hi - lo + 1)), the runs of 2^k intervals that start
+    at lo and at hi - 2^k + 1 cover that range, and ``first[b, l]`` and
+    ``second[b, l]`` are their cells in a range-maximum table whose level k
+    holds, at (k * intervals + i) * L + l, a value of intervals
+    i .. i + 2^k - 1 of snapshot l. ``levels`` is 1 + the largest k. A block
+    whose rows are all masked has ``live`` False; its queries are those of
+    interval 0. ``first`` and ``second`` are int32 of shape (M / B, L):
+    0.4 MB at M = 37926, L = 30."""
+    cell, _ = sine_positions(grid, L, intervals)
+    B = grid.shape[-1]
+    shape = (grid.size // B, B, L)
+    cells = cell.reshape(shape)
+    physical = ~nonphysical_mask(grid, L).reshape(shape[:2])[:, :, None]
+    lo = cells.min(axis=1, initial=np.iinfo(np.int32).max, where=physical) // L
+    hi = cells.max(axis=1, initial=-1, where=physical) // L
+    live = physical.any(axis=1)[:, 0]
+    lo[~live] = hi[~live] = 0
+    k = np.frexp(hi - lo + 1)[1] - 1  # exact floor(log2) of a positive integer
+    snapshots = np.arange(L)
+    first = ((k * intervals + lo) * L + snapshots).astype(np.int32)
+    second = ((k * intervals + hi - np.left_shift(1, k) + 1) * L + snapshots).astype(np.int32)
+    for a in (first, second, live):
+        a.setflags(write=False)
+    return first, second, live, int(k.max(initial=0)) + 1
 
 
 @lru_cache(maxsize=8)

@@ -3,6 +3,7 @@ import re
 import threading
 import tracemalloc
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -34,14 +35,17 @@ from trajloc import gridalgos
 from trajloc.gridalgos import (
     _BeamTable,
     _beam_argmax,
+    _block_bounds,
     _coarse_start,
     _interpolated_power,
+    _interval_maxima,
+    _pruned_rows,
     _scan_rows,
     _tabulate,
     grid_beam_power,
     local_maxima,
 )
-from trajloc.harness import WIDEBAND_SETS
+from trajloc.harness import WIDEBAND_SETS, builtin_experiment, materialize, sweep_points
 from trajloc.grids import coarse_lattice, coarse_shape, nonphysical_mask, phase_rows, phase_table
 from trajloc.model import (
     block_wavelengths,
@@ -432,15 +436,16 @@ def decisions(blocks, grid, array, K):
     return omp, peaks, start
 
 
-def cert_inputs(N, F, seed, noise, power):
+def cert_inputs(N, F, seed, noise, power, phis=(-80, 80), alphas=(-4, 4)):
     """(array, wavelengths, residuals) of a scan on `SYMMETRIC_GRID`: a random
-    source plus complex Gaussian noise of std ``noise`` per sensor row and
-    frequency, scaled by 2^power."""
+    source, phi and alpha uniform in ``phis`` and ``alphas``, plus complex
+    Gaussian noise of std ``noise`` per sensor row and frequency, scaled by
+    2^power."""
     freqs = None if F == 1 else WIDEBAND_SETS[F]
     array = ArrayConfig(N) if freqs is None else ArrayConfig.for_frequencies(N, freqs)
     lams = tuple(wavelength_for(array, f) for f in freqs or (None,))
     rng = np.random.default_rng(seed)
-    src = TrajectoryParams(LINEAR, rng.uniform(-80, 80), (rng.uniform(-4, 4),))
+    src = TrajectoryParams(LINEAR, rng.uniform(*phis), (rng.uniform(*alphas),))
     residuals = []
     for lam in lams:
         R = trajectory_steering_matrix(src, array, 30, lam) * np.exp(2j * np.pi * rng.random(30))
@@ -504,8 +509,9 @@ class TestCertifiedScan:
 
     def test_one_tabulation_per_residual_set(self, monkeypatch, four_sources):
         """tl-cbf and each coarse start tabulate their residual once, tl-omp
-        once per source; the lattice scan, the neighborhood argmax and every
-        rescan reuse that table."""
+        once per source; the lattice scan, the neighborhood argmax, tl-omp's
+        probe of its blocks of largest bound and its scan of the blocks kept,
+        and every rescan reuse that table."""
         freqs = WIDEBAND
         array = ArrayConfig.for_frequencies(10, freqs)
         blocks, _ = synthesize_block(four_sources, array, 30, 5.0, freqs, seed=603)
@@ -531,7 +537,7 @@ class TestCertifiedScan:
         assert len(made) == 1 and scans == [made[0]] * 2
         made.clear(), scans.clear()
         tl_omp(blocks, SYMMETRIC_GRID, array, 3)
-        assert len(made) == 3 and scans == made
+        assert len(made) == 3 and scans == [t for t in made for _ in range(2)]
         made.clear(), scans.clear()
         tl_cbf_spectrum(blocks, SYMMETRIC_GRID, array)
         assert len(made) == 1 and scans == made
@@ -610,17 +616,25 @@ class TestCertifiedScan:
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_argmax_is_the_exact_fields(self, seed, sub):
         """The same kind of field on `SYMMETRIC_GRID`, many of its points in
-        contention: the choice, lowest index on a tie, is the exact field's."""
+        contention: the choice, lowest index on a tie, is the exact field's.
+        The table holds no coefficients, so over the full grid every block
+        bound is +inf and no block is pruned."""
         rng = np.random.default_rng(seed)
         exact = rng.integers(0, 4, SYMMETRIC_GRID.size).astype(float)
         bound = rng.choice([0.0, 0.5, 1.0, 2.0], exact.size)
         values = exact + bound * ends_or_inside(rng, exact.size)
         rows = np.flatnonzero(rng.random(exact.size) < 0.1) if sub else None
-        picked = slice(None) if rows is None else rows
         table = _BeamTable(None, SYMMETRIC_GRID, None, None, None, None, 1.0, None)
-        with mock.patch.object(gridalgos, "_interpolated_power", lambda table, rows: (values[picked].copy(), bound[picked])):
+
+        def interpolated(table, rows=None):
+            picked = slice(None) if rows is None else rows
+            return values[picked].copy(), bound[picked]
+
+        unbounded = np.full(SYMMETRIC_GRID.size // SYMMETRIC_GRID.shape[-1], np.inf)
+        with mock.patch.object(gridalgos, "_interpolated_power", interpolated):
             with mock.patch.object(gridalgos, "grid_beam_power", lambda *a, rows: exact[rows]):
-                got = _beam_argmax(table, rows)
+                with mock.patch.object(gridalgos, "_block_bounds", lambda table: unbounded):
+                    got = _beam_argmax(table, rows)
         assert got == (int(np.argmax(exact)) if rows is None else int(rows[np.argmax(exact[rows])]))
 
     @pytest.mark.parametrize("power", [120, -120])
@@ -641,6 +655,124 @@ class TestCertifiedScan:
         exact = exact_scans(monkeypatch)
         assert (omp, peaks, start) == decisions(scaled, SYMMETRIC_GRID, array, 4)
         assert exact == ALL_SCAN_KINDS
+
+
+# a grid of one axis, so of one block
+ONE_AXIS_GRID = build_grid([("phi", -89.5, 0.25, 89.5)], TrajectoryModel.polynomial(0))
+# its blocks at phi = 90 and 95 hold masked rows only
+PART_MASKED_GRID = build_grid([("phi", 80, 5, 95), ("alpha1", -1, 0.5, 1)], LINEAR)
+
+
+def pruning_inputs(N, F, seed, noise, power, field):
+    """`cert_inputs` for the block bound, by ``field``: a source anywhere
+    ("source"); a source near end-fire, where block ranges are widest
+    ("end-fire"); a source and noise on the first sensor row alone, a field
+    flat in x, on which the block bound is tight ("flat"); or all zero
+    ("zero")."""
+    phis = (84, 89) if seed % 2 else (-89, -84)
+    where = dict(phis=phis, alphas=(-1, 1)) if field == "end-fire" else {}
+    array, lams, residuals = cert_inputs(N, F, seed, noise, power, **where)
+    for R in residuals:
+        if field == "flat":
+            R[1:] = 0.0
+        if field == "zero":
+            R[:] = 0.0
+    return array, lams, residuals
+
+
+def block_max(values, grid):
+    """The largest of ``values`` over each grid block (`grids.block_ranges`)."""
+    return values.reshape(-1, grid.shape[-1]).max(axis=1)
+
+
+def horner(coeffs, t):
+    """The interval cubics at t, evaluated as `_interpolated_power` does."""
+    a = coeffs[:, 3] * t
+    a += coeffs[:, 2]
+    a *= t
+    a += coeffs[:, 1]
+    a *= t
+    a += coeffs[:, 0]
+    return a
+
+
+class TestBlockPruning:
+    """The block bound of the full-grid argmax (`_block_bounds`,
+    `_interval_maxima`) and the pruning it decides (`_pruned_rows`)."""
+
+    @given(
+        N=st.sampled_from([2, 3, 10]),
+        F=st.sampled_from([1, 7]),
+        seed=st.integers(0, 2**16),
+        noise=st.sampled_from([0.0, 0.01, 1.0, 100.0]),
+        power=st.integers(-130, 130),
+        field=st.sampled_from(["source", "end-fire", "flat", "zero"]),
+        grid=st.sampled_from([SYMMETRIC_GRID, ONE_AXIS_GRID, PART_MASKED_GRID]),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_bound_holds_on_every_block(self, N, F, seed, noise, power, field, grid):
+        """Each block's bound is at least the float64 value and the
+        interpolated value plus its bound of each of its rows, 0 on a block
+        of masked rows; the pruned argmax is that of every row."""
+        array, lams, residuals = pruning_inputs(N, F, seed, noise, power, field)
+        table = _tabulate(residuals, grid, array, lams)
+        bounds = _block_bounds(table)
+        exact = grid_beam_power(residuals, grid, array, lams)
+        values, bound = _interpolated_power(table)
+        assert np.all(np.isfinite(bounds))
+        assert np.all(bounds >= block_max(exact, grid))
+        assert np.all(bounds >= block_max(values + bound, grid))
+        dead = nonphysical_mask(grid, 30).reshape(bounds.size, -1).all(axis=1)
+        assert np.all(bounds[dead] == 0.0)
+        assert _beam_argmax(table) == _beam_argmax(table, np.arange(grid.size))
+
+    @given(
+        N=st.sampled_from([2, 3, 10]),
+        F=st.sampled_from([1, 7]),
+        seed=st.integers(0, 2**16),
+        noise=st.sampled_from([0.0, 0.01, 1.0, 100.0]),
+        power=st.integers(-130, 130),
+        field=st.sampled_from(["source", "end-fire", "flat"]),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_interval_maxima_bound_the_cubics(self, N, F, seed, noise, power, field):
+        """Each interval maximum is at least its cubic as the interpolated
+        scan evaluates it, at both ends of the interval and between."""
+        array, lams, residuals = pruning_inputs(N, F, seed, noise, power, field)
+        coeffs = _tabulate(residuals, SYMMETRIC_GRID, array, lams).coeffs
+        maxima = np.empty(coeffs.shape[0])
+        _interval_maxima(coeffs, 30, maxima, np.empty(2 * coeffs.shape[0]))
+        between = np.random.default_rng(seed).random(6).astype(np.float32)
+        for t in [0.0, 1.0, *between.astype(float)]:
+            assert np.all(maxima >= horner(coeffs, t))
+
+    def test_zero_residual_keeps_every_block(self, array):
+        """A zero field has bounds 0 and lower bound 0, so every block is
+        kept, and the argmax is the lowest physical row."""
+        table = _tabulate([np.zeros((10, 30), complex)], SYMMETRIC_GRID, array, (wavelength_for(array, None),))
+        assert np.all(_block_bounds(table) == 0.0)
+        assert np.array_equal(_pruned_rows(table), np.arange(SYMMETRIC_GRID.size))
+        mask = nonphysical_mask(SYMMETRIC_GRID, 30)
+        assert mask[0] and _beam_argmax(table) == int(np.argmin(mask))
+
+    def test_full_grid_argmax_interpolates_few_rows(self, monkeypatch):
+        """On the `wideband` F = 7 grid (M = 37926), each of tl-omp's
+        full-grid argmaxes interpolates fewer than a tenth of the grid's
+        rows, its probe included: a fallback to full scans fails here."""
+        config = builtin_experiment("wideband")
+        cell = materialize(config, sweep_points(config)[0], 7.0)
+        blocks, _ = synthesize_block(list(cell.sources), cell.array, cell.snapshots, cell.snr_db, cell.frequencies, seed=501)
+        scanned = Counter()
+        real = gridalgos._interpolated_power
+
+        def counting(table, rows=None):
+            scanned[table] += table.grid.size if rows is None else len(rows)
+            return real(table, rows=rows)
+
+        monkeypatch.setattr(gridalgos, "_interpolated_power", counting)
+        tl_omp(blocks, cell.grid, cell.array, len(cell.sources))
+        assert len(scanned) == len(cell.sources) == 4
+        assert all(n < 0.1 * cell.grid.size for n in scanned.values()), sorted(scanned.values())
 
 
 class TestCbfSpectrum:
@@ -748,6 +880,23 @@ class TestFindPeaks:
 
 
 class TestTlOmp:
+    def test_zero_field_estimates_stay_physical(self, array, linear_grid):
+        """On an all-zero block every grid point has power 0: each argmax
+        takes the lowest physical point, never the masked corner (-85, -5)
+        at index 0, whose last snapshot is at -90 degrees."""
+        block = ObservationBlock(np.zeros((10, 30), complex), None)
+        with pytest.warns(NumericsWarning):  # the same point twice: coincident steering vectors
+            estimates, _ = tl_omp([block], linear_grid, array, 2)
+        assert len(estimates) == 2
+        assert all(trajectory_in_bounds(e.params, 30) for e in estimates)
+
+    def test_grid_without_physical_points_is_refused(self, array):
+        """phi >= 91: no grid point is physical, so there is none to choose."""
+        grid = build_grid([("phi", 91.0, 1.0, 95.0), ("alpha1", -1.0, 0.5, 1.0)], LINEAR)
+        blocks, _ = synthesize_block([TrajectoryParams(LINEAR, 10.0, (0.5,))], array, 30, 10.0, seed=0)
+        with pytest.raises(ValueError, match=r"inside \(-90, 90\) degrees"):
+            tl_omp(blocks, grid, array, 1)
+
     def test_single_source_exact_in_one_iteration(self, array, linear_grid):
         src = TrajectoryParams(LINEAR, -11.0, (3.5,))
         blocks, _ = synthesize_block([src], array, 30, None, seed=1)

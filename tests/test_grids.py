@@ -5,6 +5,7 @@ import pytest
 
 from trajloc import ArrayConfig, TrajectoryModel, build_grid, grid_point
 from trajloc.grids import (
+    block_ranges,
     coarse_lattice,
     coarse_shape,
     doa_table,
@@ -221,3 +222,38 @@ class TestSinePositions:
         assert np.all(np.abs(-1.0 + (i + t.astype(float)) * h - x) <= h * 2.0**-25 + 2.0**-51)
         if grid.size == 2:
             assert np.all(i[0] == 0) and np.all(t[0] == 0) and np.all(i[1] == T - 1) and np.all(t[1] == 1)
+
+
+class TestBlockRanges:
+    @pytest.mark.parametrize("name", ["linear", "quadratic", "one-axis", "part-masked"])
+    def test_queries_cover_each_blocks_intervals(self, linear_grid, name):
+        """The two runs of 2^k intervals that each block's queries name
+        cover exactly the intervals its physical rows fall in, at every
+        snapshot; a block of masked rows only is not live."""
+        grid = {
+            "linear": linear_grid,
+            "quadratic": QUADRATIC_GRID,
+            "one-axis": build_grid([("phi", -89.5, 0.25, 89.5)], TrajectoryModel.polynomial(0)),
+            # the blocks at phi = 90 and 95 hold masked rows only
+            "part-masked": build_grid([("phi", 80, 5, 95), ("alpha1", -1, 0.5, 1)], TrajectoryModel.polynomial(1)),
+        }[name]
+        L, T = 30, 512
+        first, second, live, levels = block_ranges(grid, L, T)
+        B = grid.shape[-1]
+        assert block_ranges(grid, L, T)[0] is first
+        assert first.dtype == second.dtype == np.int32 and first.shape == second.shape == (grid.size // B, L)
+        assert not first.flags.writeable and not second.flags.writeable and not live.flags.writeable
+        physical = ~nonphysical_mask(grid, L).reshape(-1, B)
+        assert np.array_equal(live, physical.any(axis=1))
+        interval = sine_positions(grid, L, T)[0].reshape(-1, B, L) // L
+        (k, a, l), (k2, b, l2) = (np.unravel_index(q, (levels, T, L)) for q in (first, second))
+        assert np.array_equal(k, k2) and np.array_equal(l, l2)
+        assert np.array_equal(l, np.broadcast_to(np.arange(L), l.shape))
+        for blk in np.flatnonzero(live):
+            rows = interval[blk][physical[blk]]
+            lo, hi = rows.min(axis=0), rows.max(axis=0)
+            n = 1 << k[blk]
+            assert np.array_equal(a[blk], lo) and np.array_equal(b[blk] + n - 1, hi)
+            assert np.all(n <= hi - lo + 1) and np.all(hi - lo + 1 < 2 * n)
+        assert levels == int(k.max()) + 1
+        assert np.count_nonzero(~live) == (2 if name == "part-masked" else 0)
